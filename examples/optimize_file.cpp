@@ -2,8 +2,8 @@
  * @file
  * A command-line driver: optimize every nest of a DSL file.
  *
- *     optimize_file [--machine alpha|parisc|wide] [--simulate]
- *                   [--report] [--interchange] [--prefetch]
+ *     optimize_file [--machine alpha|parisc|wide|wide-prefetch]
+ *                   [--simulate] [--report] [--interchange] [--prefetch]
  *                   [--fuse] [--distribute] [--max-unroll N]
  *                   [--lint=off|warn|strict] FILE
  *
@@ -35,7 +35,8 @@ void
 usage()
 {
     std::fprintf(stderr,
-                 "usage: optimize_file [--machine alpha|parisc|wide] "
+                 "usage: optimize_file "
+                 "[--machine alpha|parisc|wide|wide-prefetch] "
                  "[--simulate] [--report] [--interchange] [--prefetch] "
                  "[--fuse] [--distribute] [--max-unroll N] "
                  "[--lint=off|warn|strict] FILE\n");
@@ -61,17 +62,12 @@ main(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--machine") == 0 && i + 1 < argc) {
-            std::string name = argv[++i];
-            if (name == "alpha") {
-                machine = MachineModel::decAlpha21064();
-            } else if (name == "parisc") {
-                machine = MachineModel::hpPa7100();
-            } else if (name == "wide") {
-                machine = MachineModel::wideIlp();
-            } else {
+            std::optional<MachineModel> preset = machinePreset(argv[++i]);
+            if (!preset) {
                 usage();
                 return 2;
             }
+            machine = *preset;
         } else if (std::strcmp(argv[i], "--simulate") == 0) {
             simulate = true;
         } else if (std::strcmp(argv[i], "--report") == 0) {

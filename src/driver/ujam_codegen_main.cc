@@ -4,7 +4,8 @@
  * side by side, and optionally prove them equivalent on real
  * hardware.
  *
- *     ujam-codegen [--machine alpha|parisc|wide] [--out DIR]
+ *     ujam-codegen [--machine alpha|parisc|wide|wide-prefetch]
+ *                  [--out DIR]
  *                  [--seed N] [--param name=value]... [--no-main]
  *                  [--fuse] [--distribute] [--interchange]
  *                  [--prefetch] [--json]
@@ -69,7 +70,8 @@ usage()
 {
     std::fprintf(
         stderr,
-        "usage: ujam-codegen [--machine alpha|parisc|wide] [--out DIR] "
+        "usage: ujam-codegen [--machine alpha|parisc|wide|wide-prefetch] "
+        "[--out DIR] "
         "[--seed N] [--param name=value]... [--no-main] [--fuse] "
         "[--distribute] [--interchange] [--prefetch] [--json] [--run] "
         "[--repeat K] [--cflags FLAGS] "
@@ -118,17 +120,12 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
         if (std::strcmp(arg, "--machine") == 0 && i + 1 < argc) {
-            std::string name = argv[++i];
-            if (name == "alpha") {
-                machine = MachineModel::decAlpha21064();
-            } else if (name == "parisc") {
-                machine = MachineModel::hpPa7100();
-            } else if (name == "wide") {
-                machine = MachineModel::wideIlp();
-            } else {
+            std::optional<MachineModel> preset = machinePreset(argv[++i]);
+            if (!preset) {
                 usage();
                 return 2;
             }
+            machine = *preset;
         } else if (std::strcmp(arg, "--out") == 0 && i + 1 < argc) {
             out_dir = argv[++i];
         } else if (std::strcmp(arg, "--seed") == 0 && i + 1 < argc) {

@@ -3,7 +3,8 @@
  * ujam-lint: run the static analyzer over DSL files.
  *
  *     ujam-lint [--format=text|json|sarif]
- *               [--machine alpha|parisc|wide] [--max-unroll N]
+ *               [--machine alpha|parisc|wide|wide-prefetch]
+ *               [--max-unroll N]
  *               [--min-severity=note|warn|error] [--suite [NAME]]
  *               [--baseline FILE] [--baseline-write FILE]
  *               [--explain RULE] [--list] [FILE...]
@@ -58,7 +59,7 @@ usage()
     std::fprintf(
         stderr,
         "usage: ujam-lint [--format=text|json|sarif] "
-        "[--machine alpha|parisc|wide] [--max-unroll N] "
+        "[--machine alpha|parisc|wide|wide-prefetch] [--max-unroll N] "
         "[--min-severity=note|warn|error] [--suite [NAME]] "
         "[--baseline FILE] [--baseline-write FILE] "
         "[--explain RULE] [--list] [FILE...]\n");
@@ -110,17 +111,12 @@ main(int argc, char **argv)
                 return 2;
             }
         } else if (std::strcmp(arg, "--machine") == 0 && i + 1 < argc) {
-            std::string name = argv[++i];
-            if (name == "alpha") {
-                machine = MachineModel::decAlpha21064();
-            } else if (name == "parisc") {
-                machine = MachineModel::hpPa7100();
-            } else if (name == "wide") {
-                machine = MachineModel::wideIlp();
-            } else {
+            std::optional<MachineModel> preset = machinePreset(argv[++i]);
+            if (!preset) {
                 usage();
                 return 2;
             }
+            machine = *preset;
         } else if (std::strcmp(arg, "--max-unroll") == 0 &&
                    i + 1 < argc) {
             options.maxUnroll = std::atoll(argv[++i]);

@@ -25,8 +25,6 @@
  *     --workers N        fork N supervised worker processes; a crash
  *                        kills only that worker's connections and the
  *                        slot restarts with backoff
- *     --dispatch         supervisor accepts and passes connection fds
- *                        to workers (instead of shared accept)
  *     --drain-ms N       shutdown drain deadline before SIGKILL
  *     --breaker-crashes N / --breaker-window-ms N
  *                        > N crashes inside the window degrade the
@@ -70,7 +68,7 @@ usage()
         "[--cache-shards N]\n"
         "       [--deadline-ms N] [--idle-timeout-ms N] "
         "[--dump-metrics]\n"
-        "       [--workers N] [--dispatch] [--drain-ms N]\n"
+        "       [--workers N] [--drain-ms N]\n"
         "       [--breaker-crashes N] [--breaker-window-ms N]\n"
         "       [--backoff-base-ms N] [--backoff-max-ms N] "
         "[--retries N]\n");
@@ -121,7 +119,6 @@ main(int argc, char **argv)
     ServerConfig config;
     SupervisorConfig supervision;
     std::size_t workers = 0;
-    bool dispatch = false;
     std::string client_file;
     bool dump_metrics = false;
     int retries = 3;
@@ -162,8 +159,6 @@ main(int argc, char **argv)
             config.idleTimeoutMs = std::atoll(argv[++i]);
         } else if (std::strcmp(arg, "--workers") == 0 && i + 1 < argc) {
             workers = std::strtoul(argv[++i], nullptr, 10);
-        } else if (std::strcmp(arg, "--dispatch") == 0) {
-            dispatch = true;
         } else if (std::strcmp(arg, "--drain-ms") == 0 &&
                    i + 1 < argc) {
             supervision.drainMs = std::atoll(argv[++i]);
@@ -215,7 +210,6 @@ main(int argc, char **argv)
     if (mode == Mode::Socket && workers > 0) {
         supervision.server = std::move(config);
         supervision.workers = workers;
-        supervision.dispatch = dispatch;
         supervision.dumpMetrics = dump_metrics;
         try {
             Supervisor supervisor(std::move(supervision));

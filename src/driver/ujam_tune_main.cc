@@ -2,7 +2,8 @@
  * @file
  * ujam-tune: measured autotuning over the model's unroll picks.
  *
- *     ujam-tune [--machine alpha|parisc|wide] [--budget-ms N]
+ *     ujam-tune [--machine alpha|parisc|wide|wide-prefetch]
+ *               [--budget-ms N]
  *               [--neighborhood N] [--repeats N] [--warmup N]
  *               [--seed N] [--measure wall|model] [--cflags FLAGS]
  *               [--json] [--log-features FILE]
@@ -50,7 +51,7 @@ usage()
 {
     std::fprintf(
         stderr,
-        "usage: ujam-tune [--machine alpha|parisc|wide] "
+        "usage: ujam-tune [--machine alpha|parisc|wide|wide-prefetch] "
         "[--budget-ms N] [--neighborhood N] [--repeats N] "
         "[--warmup N] [--seed N] [--measure wall|model] "
         "[--cflags FLAGS] [--json] [--log-features FILE] "
@@ -81,17 +82,12 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
         if (std::strcmp(arg, "--machine") == 0 && i + 1 < argc) {
-            std::string name = argv[++i];
-            if (name == "alpha") {
-                machine = MachineModel::decAlpha21064();
-            } else if (name == "parisc") {
-                machine = MachineModel::hpPa7100();
-            } else if (name == "wide") {
-                machine = MachineModel::wideIlp();
-            } else {
+            std::optional<MachineModel> preset = machinePreset(argv[++i]);
+            if (!preset) {
                 usage();
                 return 2;
             }
+            machine = *preset;
         } else if (std::strcmp(arg, "--budget-ms") == 0 &&
                    i + 1 < argc) {
             config.budgetMs = std::atoll(argv[++i]);

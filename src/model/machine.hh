@@ -15,6 +15,7 @@
 #define UJAM_MODEL_MACHINE_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 namespace ujam
@@ -101,6 +102,14 @@ struct MachineModel
     /** wideIlp with software prefetching enabled (section 6). */
     static MachineModel wideIlpPrefetch();
 };
+
+/**
+ * @return The preset for a command-line / wire name
+ * (alpha/parisc/wide/wide-prefetch), or nothing. Every CLI
+ * `--machine` flag, the service's "machine" field and the sweep
+ * manifest's "machines" list resolve names here.
+ */
+std::optional<MachineModel> machinePreset(const std::string &name);
 
 } // namespace ujam
 

@@ -19,25 +19,6 @@ namespace ujam
 namespace
 {
 
-/**
- * Machine presets by the names the service protocol uses. Kept local
- * so the scenarios library does not depend on the service layer
- * (which links scenarios).
- */
-std::optional<MachineModel>
-sweepMachine(const std::string &name)
-{
-    if (name == "alpha")
-        return MachineModel::decAlpha21064();
-    if (name == "parisc")
-        return MachineModel::hpPa7100();
-    if (name == "wide")
-        return MachineModel::wideIlp();
-    if (name == "wide-prefetch")
-        return MachineModel::wideIlpPrefetch();
-    return std::nullopt;
-}
-
 std::optional<LintMode>
 lintModeFromName(const std::string &name)
 {
@@ -132,7 +113,7 @@ runJob(const SweepJob &job)
     row.pipeline = job.pipeline.name;
     row.seed = job.spec.seed;
 
-    std::optional<MachineModel> machine = sweepMachine(job.machine);
+    std::optional<MachineModel> machine = machinePreset(job.machine);
     if (!machine)
         fatal("sweep manifest names unknown machine '", job.machine,
               "'");
@@ -380,7 +361,7 @@ parseSweepManifest(const std::string &text, std::string *error)
         manifest.machines.clear();
         for (const JsonValue &element : machines->elements) {
             if (!element.isString() ||
-                !sweepMachine(element.stringValue)) {
+                !machinePreset(element.stringValue)) {
                 fail(error,
                      "machines must name presets: alpha, parisc, "
                      "wide, wide-prefetch");

@@ -30,20 +30,6 @@ serviceOpName(ServiceOp op)
     return "?";
 }
 
-std::optional<MachineModel>
-machinePreset(const std::string &name)
-{
-    if (name == "alpha")
-        return MachineModel::decAlpha21064();
-    if (name == "parisc")
-        return MachineModel::hpPa7100();
-    if (name == "wide")
-        return MachineModel::wideIlp();
-    if (name == "wide-prefetch")
-        return MachineModel::wideIlpPrefetch();
-    return std::nullopt;
-}
-
 namespace
 {
 

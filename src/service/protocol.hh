@@ -63,6 +63,7 @@
 
 #include "codegen/c_emitter.hh"
 #include "driver/driver.hh"
+#include "model/machine.hh"
 #include "tune/autotuner.hh"
 
 namespace ujam
@@ -140,12 +141,6 @@ struct RequestParse
  * @param line One NDJSON frame without the trailing newline.
  */
 RequestParse parseRequest(const std::string &line);
-
-/**
- * @return The machine preset for a wire name
- * (alpha/parisc/wide/wide-prefetch), or nothing.
- */
-std::optional<MachineModel> machinePreset(const std::string &name);
 
 /** @return A one-line error response frame. */
 std::string errorResponse(const std::string &id, const std::string &op,

@@ -15,7 +15,6 @@
 #include "ir/validate.hh"
 #include "parser/parser.hh"
 #include "report/report.hh"
-#include "service/fdpass.hh"
 #include "support/diagnostics.hh"
 #include "support/json.hh"
 #include "support/thread_pool.hh"
@@ -87,6 +86,39 @@ cacheConfigFor(const ServerConfig &config, ServiceMetrics &metrics,
 }
 
 } // namespace
+
+int
+bindListenSocket(const std::string &path)
+{
+    if (path.empty())
+        fatal("ujam-serve: no socket path configured");
+
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    if (path.size() >= sizeof(addr.sun_path))
+        fatal("ujam-serve: socket path too long: ", path);
+    std::strncpy(addr.sun_path, path.c_str(),
+                 sizeof(addr.sun_path) - 1);
+
+    int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC | SOCK_NONBLOCK,
+                      0);
+    if (fd < 0)
+        fatal("ujam-serve: socket(): ", std::strerror(errno));
+
+    ::unlink(path.c_str());
+    if (::bind(fd, reinterpret_cast<sockaddr *>(&addr),
+               sizeof(addr)) != 0) {
+        std::string reason = std::strerror(errno);
+        ::close(fd);
+        fatal("ujam-serve: bind(", path, "): ", reason);
+    }
+    if (::listen(fd, 128) != 0) {
+        std::string reason = std::strerror(errno);
+        ::close(fd);
+        fatal("ujam-serve: listen(): ", reason);
+    }
+    return fd;
+}
 
 UjamServer::UjamServer(ServerConfig config)
     : config_(std::move(config)),
@@ -534,45 +566,15 @@ UjamServer::start()
     // writeAll, never a process-killing SIGPIPE.
     ::signal(SIGPIPE, SIG_IGN);
 
-    if (config_.dispatchFd < 0 && config_.listenFd < 0) {
-        if (config_.socketPath.empty())
-            fatal("ujam-serve: no socket path configured");
-
-        sockaddr_un addr{};
-        addr.sun_family = AF_UNIX;
-        if (config_.socketPath.size() >= sizeof(addr.sun_path)) {
-            fatal("ujam-serve: socket path too long: ",
-                  config_.socketPath);
-        }
-        std::strncpy(addr.sun_path, config_.socketPath.c_str(),
-                     sizeof(addr.sun_path) - 1);
-
-        listenFd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-        if (listenFd_ < 0)
-            fatal("ujam-serve: socket(): ", std::strerror(errno));
-
-        ::unlink(config_.socketPath.c_str());
-        if (::bind(listenFd_, reinterpret_cast<sockaddr *>(&addr),
-                   sizeof(addr)) != 0) {
-            std::string reason = std::strerror(errno);
-            ::close(listenFd_);
-            listenFd_ = -1;
-            fatal("ujam-serve: bind(", config_.socketPath, "): ",
-                  reason);
-        }
-        if (::listen(listenFd_, 128) != 0) {
-            std::string reason = std::strerror(errno);
-            ::close(listenFd_);
-            listenFd_ = -1;
-            fatal("ujam-serve: listen(): ", reason);
-        }
-        ownsListenSocket_ = true;
-    } else if (config_.listenFd >= 0) {
+    if (config_.listenFd >= 0) {
         // A supervisor bound the socket before forking us; every
         // worker accepts on the shared fd and the kernel spreads
         // connections across them.
         listenFd_ = config_.listenFd;
         ownsListenSocket_ = false;
+    } else {
+        listenFd_ = bindListenSocket(config_.socketPath);
+        ownsListenSocket_ = true;
     }
 
     {
@@ -580,55 +582,9 @@ UjamServer::start()
         stopRequested_ = false;
         started_ = true;
     }
-    if (config_.dispatchFd >= 0)
-        threads_.emplace_back([this] { dispatchLoop(); });
-    else
-        threads_.emplace_back([this] { acceptLoop(); });
+    threads_.emplace_back([this] { acceptLoop(); });
     for (std::size_t w = 0; w < config_.threads; ++w)
         threads_.emplace_back([this] { workerLoop(); });
-}
-
-void
-UjamServer::dispatchLoop()
-{
-    // Dispatch mode: the supervisor accepts and hands us connected
-    // fds over an SCM_RIGHTS channel. Channel EOF means the
-    // supervisor died or is draining us -- either way, stop.
-    while (!stopping()) {
-        pollfd poller{config_.dispatchFd, POLLIN, 0};
-        int ready = ::poll(&poller, 1, 100);
-        if (ready < 0 && errno != EINTR)
-            break;
-        if (ready <= 0)
-            continue;
-        RecvFdResult received = recvFd(config_.dispatchFd);
-        if (received.closed) {
-            requestStop();
-            break;
-        }
-        if (received.fd < 0)
-            continue;
-        bool admitted = false;
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            if (!stopRequested_ &&
-                pending_.size() < config_.queueLimit) {
-                pending_.push_back(received.fd);
-                admitted = true;
-            }
-        }
-        if (admitted) {
-            wake_.notify_one();
-        } else {
-            metrics_.requestsTotal.add();
-            metrics_.requestsOverloaded.add();
-            writeAll(received.fd,
-                     errorResponse("", "", "overloaded",
-                                   "admission queue full") +
-                         "\n");
-            ::close(received.fd);
-        }
-    }
 }
 
 void
@@ -641,7 +597,7 @@ UjamServer::acceptLoop()
             continue; // timeout, EINTR or transient error: re-check
         int fd = ::accept4(listenFd_, nullptr, nullptr, SOCK_CLOEXEC);
         if (fd < 0)
-            continue; // EINTR/ECONNABORTED/raced sibling worker
+            continue; // EAGAIN (a sibling won it), EINTR, ECONNABORTED
 
         bool admitted = false;
         {

@@ -30,9 +30,8 @@
  * Multi-process operation (see service/supervisor.hh): a worker
  * server adopts the supervisor's pre-bound listening socket
  * (ServerConfig::listenFd) -- the AF_UNIX analogue of SO_REUSEPORT:
- * every worker accepts on the shared fd and the kernel load-balances
- * -- or, in dispatch mode, receives already-accepted connection fds
- * over an SCM_RIGHTS channel (ServerConfig::dispatchFd). Workers
+ * every worker accepts on the shared, non-blocking fd (see
+ * bindListenSocket) and the kernel load-balances. Workers
  * record into a shared-memory ServiceMetrics block
  * (ServerConfig::sharedMetrics) so the `metrics` op aggregates
  * service-wide totals from any worker. A server in degraded mode
@@ -65,6 +64,22 @@
 namespace ujam
 {
 
+/**
+ * Create, bind and listen on the AF_UNIX stream socket at path,
+ * replacing any file already there.
+ *
+ * The socket is non-blocking: when several processes poll one
+ * listener, a single connection wakes them all and only one accept
+ * wins. The others must get EAGAIN and return to their stop check
+ * rather than sleep in accept until the next client arrives.
+ * Accepted sockets do not inherit the flag.
+ *
+ * @return The listening fd (close-on-exec, owned by the caller).
+ * @throws FatalError when the path is empty or too long, or the
+ *         socket cannot be created, bound or put into listening.
+ */
+int bindListenSocket(const std::string &path);
+
 /** Server construction knobs. */
 struct ServerConfig
 {
@@ -85,14 +100,11 @@ struct ServerConfig
     std::int64_t idleTimeoutMs = 0;
 
     // --- multi-process plumbing (set by the supervisor) ---
-    /** Adopt this already-bound listening socket instead of binding
-     * socketPath; -1 = bind our own. An adopting server neither
+    /** Adopt this listening socket from bindListenSocket instead of
+     * binding socketPath; -1 = bind our own. An adopting server neither
      * closes the fd's last reference semantics nor unlinks the path
      * on stop -- the supervisor owns both. */
     int listenFd = -1;
-    /** Receive already-accepted connection fds over this SCM_RIGHTS
-     * channel instead of accepting; -1 = accept ourselves. */
-    int dispatchFd = -1;
     /** Cache-only mode: pipeline ops answer from the cache or are
      * rejected with status "degraded"; nothing is computed. */
     bool degraded = false;
@@ -191,7 +203,6 @@ class UjamServer
     /** Fire any worker-level faults matching this request serial. */
     void applyWorkerFaults(std::uint64_t serial);
     void acceptLoop();
-    void dispatchLoop();
     void workerLoop();
     void handleConnection(int fd);
 

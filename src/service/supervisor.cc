@@ -12,17 +12,13 @@
 
 #include <poll.h>
 #include <sys/mman.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 #ifdef __linux__
 #include <sys/prctl.h>
 #endif
 
-#include "service/fdpass.hh"
 #include "service/metrics.hh"
-#include "service/protocol.hh"
 #include "support/diagnostics.hh"
 #include "support/rng.hh"
 
@@ -108,55 +104,6 @@ statsFromShared(const SharedBlock &shared)
     return stats;
 }
 
-/** Bind and listen on an AF_UNIX socket; fatal on any failure. */
-int
-bindListenSocket(const std::string &path)
-{
-    if (path.empty())
-        fatal("ujam-serve: no socket path configured");
-
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (path.size() >= sizeof(addr.sun_path))
-        fatal("ujam-serve: socket path too long: ", path);
-    std::strncpy(addr.sun_path, path.c_str(),
-                 sizeof(addr.sun_path) - 1);
-
-    int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (fd < 0)
-        fatal("ujam-serve: socket(): ", std::strerror(errno));
-
-    ::unlink(path.c_str());
-    if (::bind(fd, reinterpret_cast<sockaddr *>(&addr),
-               sizeof(addr)) != 0) {
-        std::string reason = std::strerror(errno);
-        ::close(fd);
-        fatal("ujam-serve: bind(", path, "): ", reason);
-    }
-    if (::listen(fd, 128) != 0) {
-        std::string reason = std::strerror(errno);
-        ::close(fd);
-        fatal("ujam-serve: listen(): ", reason);
-    }
-    return fd;
-}
-
-/** write() the whole buffer, retrying EINTR; best effort. */
-void
-sendAll(int fd, const std::string &text)
-{
-    std::size_t sent = 0;
-    while (sent < text.size()) {
-        ssize_t n = ::send(fd, text.data() + sent, text.size() - sent,
-                           MSG_NOSIGNAL);
-        if (n < 0 && errno == EINTR)
-            continue;
-        if (n <= 0)
-            return;
-        sent += static_cast<std::size_t>(n);
-    }
-}
-
 } // namespace
 
 bool
@@ -218,9 +165,6 @@ struct Supervisor::Impl
 
     ~Impl()
     {
-        for (Slot &slot : slots)
-            if (slot.channel >= 0)
-                ::close(slot.channel);
         if (listenFd >= 0)
             ::close(listenFd);
         if (shared) {
@@ -232,7 +176,6 @@ struct Supervisor::Impl
     struct Slot
     {
         pid_t pid = -1;
-        int channel = -1; //!< dispatch-mode SCM_RIGHTS channel
         std::uint64_t consecutiveCrashes = 0;
         std::int64_t restartDueMs = -1; //!< -1 = no restart pending
         std::int64_t spawnedAtMs = 0;
@@ -248,19 +191,17 @@ struct Supervisor::Impl
     bool degradeRequested = false;
     bool degraded = false;
     std::int64_t drainDeadlineMs = -1;
-    std::size_t rrNext = 0;
     std::unique_ptr<UjamServer> degradedServer;
 
     int run();
     void mapShared();
     void spawn(std::size_t index);
-    int runWorker(std::size_t index, int dispatch_fd);
+    int runWorker(std::size_t index);
     void reap(std::int64_t now);
     void maybeRestart(std::int64_t now);
     void beginShutdown(std::int64_t now);
     void forceKillStragglers();
     bool consumePendingSignals();
-    void pollAccept(int timeout_ms);
     void enterDegradedMode();
     int runDegraded();
 
@@ -301,9 +242,8 @@ void
 Supervisor::Impl::spawn(std::size_t index)
 {
     Slot &slot = slots[index];
-    int channel[2] = {-1, -1};
-    if (config.dispatch &&
-        ::socketpair(AF_UNIX, SOCK_STREAM, 0, channel) != 0) {
+    pid_t pid = ::fork();
+    if (pid < 0) {
         // Treat like an immediate crash: retry after backoff.
         slot.restartDueMs =
             nowMs() + restartBackoffMs(config.backoffBaseMs,
@@ -312,41 +252,9 @@ Supervisor::Impl::spawn(std::size_t index)
                                        index);
         return;
     }
+    if (pid == 0)
+        ::_exit(runWorker(index));
 
-    pid_t pid = ::fork();
-    if (pid < 0) {
-        if (channel[0] >= 0) {
-            ::close(channel[0]);
-            ::close(channel[1]);
-        }
-        slot.restartDueMs =
-            nowMs() + restartBackoffMs(config.backoffBaseMs,
-                                       config.backoffMaxMs,
-                                       ++slot.consecutiveCrashes,
-                                       index);
-        return;
-    }
-
-    if (pid == 0) {
-        // Child: drop every descriptor that belongs to a sibling or
-        // to the supervisor's side of our own channel.
-        if (channel[0] >= 0)
-            ::close(channel[0]);
-        for (Slot &other : slots)
-            if (other.channel >= 0)
-                ::close(other.channel);
-        int dispatch_fd = config.dispatch ? channel[1] : -1;
-        if (config.dispatch && listenFd >= 0) {
-            ::close(listenFd);
-            listenFd = -1;
-        }
-        ::_exit(runWorker(index, dispatch_fd));
-    }
-
-    if (config.dispatch) {
-        ::close(channel[1]);
-        slot.channel = channel[0];
-    }
     slot.pid = pid;
     slot.restartDueMs = -1;
     slot.spawnedAtMs = nowMs();
@@ -354,7 +262,7 @@ Supervisor::Impl::spawn(std::size_t index)
 }
 
 int
-Supervisor::Impl::runWorker(std::size_t index, int dispatch_fd)
+Supervisor::Impl::runWorker(std::size_t index)
 {
 #ifdef __linux__
     // Die with the supervisor instead of orphaning: a killed
@@ -363,8 +271,7 @@ Supervisor::Impl::runWorker(std::size_t index, int dispatch_fd)
 #endif
 
     ServerConfig server = config.server;
-    server.listenFd = dispatch_fd >= 0 ? -1 : listenFd;
-    server.dispatchFd = dispatch_fd;
+    server.listenFd = listenFd;
     server.sharedMetrics = &shared->metrics;
     server.workerIndex = static_cast<int>(index);
     server.faultSerial = &shared->workers[index].faultSerial;
@@ -410,10 +317,6 @@ Supervisor::Impl::reap(std::int64_t now)
             static_cast<std::size_t>(it - slots.begin());
         Slot &slot = *it;
         slot.pid = -1;
-        if (slot.channel >= 0) {
-            ::close(slot.channel);
-            slot.channel = -1;
-        }
         WorkerSlotShared &record = shared->workers[index];
         record.alive.store(0, std::memory_order_relaxed);
         record.lastExitCode.store(
@@ -484,12 +387,6 @@ Supervisor::Impl::beginShutdown(std::int64_t now)
     for (Slot &slot : slots) {
         if (slot.pid >= 0)
             ::kill(slot.pid, SIGTERM);
-        // Dispatch workers also see channel EOF, which doubles as a
-        // stop signal if the SIGTERM races their startup.
-        if (slot.channel >= 0) {
-            ::close(slot.channel);
-            slot.channel = -1;
-        }
         slot.restartDueMs = -1;
     }
 }
@@ -523,41 +420,6 @@ Supervisor::Impl::consumePendingSignals()
 }
 
 void
-Supervisor::Impl::pollAccept(int timeout_ms)
-{
-    pollfd poller{listenFd, POLLIN, 0};
-    int ready = ::poll(&poller, 1, timeout_ms);
-    if (ready <= 0)
-        return;
-    int fd = ::accept4(listenFd, nullptr, nullptr, SOCK_CLOEXEC);
-    if (fd < 0)
-        return;
-
-    // Round-robin over live workers; a send failure means the worker
-    // died under us, so retire its channel and try the next.
-    for (std::size_t tried = 0; tried < slots.size(); ++tried) {
-        Slot &slot = slots[rrNext++ % slots.size()];
-        if (slot.pid < 0 || slot.channel < 0)
-            continue;
-        if (sendFd(slot.channel, fd)) {
-            ::close(fd);
-            return;
-        }
-        ::close(slot.channel);
-        slot.channel = -1;
-    }
-
-    // Every worker is between restarts: refuse explicitly rather
-    // than letting the client time out.
-    shared->metrics.requestsTotal.add();
-    shared->metrics.requestsOverloaded.add();
-    sendAll(fd, errorResponse("", "", "overloaded",
-                              "no live workers") +
-                    "\n");
-    ::close(fd);
-}
-
-void
 Supervisor::Impl::enterDegradedMode()
 {
     degraded = true;
@@ -570,10 +432,6 @@ Supervisor::Impl::enterDegradedMode()
     for (Slot &slot : slots) {
         if (slot.pid >= 0)
             ::kill(slot.pid, SIGTERM);
-        if (slot.channel >= 0) {
-            ::close(slot.channel);
-            slot.channel = -1;
-        }
         slot.restartDueMs = -1;
     }
     while (liveWorkers() > 0) {
@@ -651,10 +509,7 @@ Supervisor::Impl::run()
         spawn(i);
 
     while (true) {
-        if (config.dispatch && !terminating)
-            pollAccept(100);
-        else
-            ::poll(nullptr, 0, 100);
+        ::poll(nullptr, 0, 100);
 
         std::int64_t now = nowMs();
         if (consumePendingSignals())

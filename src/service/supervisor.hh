@@ -11,13 +11,10 @@
  * in-flight connections: the listening socket survives in the
  * supervisor, sibling workers keep serving, and the dead slot is
  * re-forked after an exponential backoff with deterministic jitter.
- *
- * Dispatch mode (SupervisorConfig::dispatch) is the explicit
- * alternative: the supervisor accepts connections itself and passes
- * each connected fd to a live worker round-robin over an SCM_RIGHTS
- * socketpair (service/fdpass.hh). This trades the kernel's implicit
- * balancing for supervisor-controlled placement and keeps working
- * even while a crashed worker is between restarts.
+ * Which worker takes a connection never changes a response byte, so
+ * the shared listener (non-blocking, see bindListenSocket) is the
+ * only way connections reach workers; while every worker is between
+ * restarts, new connections wait in the listen backlog.
  *
  * A circuit breaker bounds restart storms: more than breakerCrashes
  * crashes inside a sliding breakerWindowMs window stops the forking,
@@ -73,11 +70,10 @@ constexpr int kExitForcedKill = 4;
 struct SupervisorConfig
 {
     /** Per-worker server template. socketPath names the socket the
-     * supervisor binds; listenFd/dispatchFd/sharedMetrics are filled
-     * in per worker and must be left unset. */
+     * supervisor binds; listenFd/sharedMetrics are filled in per
+     * worker and must be left unset. */
     ServerConfig server;
     std::size_t workers = 2; //!< clamped to [1, kMaxWorkers]
-    bool dispatch = false;   //!< fd-passing instead of shared accept
 
     /** Circuit breaker: > breakerCrashes crashes within
      * breakerWindowMs degrade the service to cache-only. */

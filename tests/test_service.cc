@@ -5,17 +5,23 @@
  * parser (including a deterministic malformed-input fuzz), batch-mode
  * determinism -- responses bit-identical across thread widths and
  * across hit/miss -- persistence across a server restart, the metrics
- * schema, and a socket smoke test with concurrent clients, deadline
- * expiry and graceful shutdown (the TSan target).
+ * schema, a socket smoke test with concurrent clients, deadline
+ * expiry and graceful shutdown (the TSan target), and the
+ * non-blocking shared listener that lets supervised workers drain.
  */
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -550,6 +556,41 @@ TEST(ServiceSocket, ConcurrentClientsDeadlinesAndShutdown)
     server.waitForShutdown();
     server.stop();
     EXPECT_GT(server.metrics().cacheMemoryHits.get(), 0u);
+}
+
+TEST(ServiceSocket, SharedListenerDrainsWithoutBlocking)
+{
+    // Supervised workers all poll one listener, so one connection
+    // wakes every worker and only one accept wins. The others must
+    // get EAGAIN at once and go back to their stop check: an accept
+    // that sleeps until the next client is the shutdown drain hang.
+    // The receive timeout only keeps a regression from hanging here.
+    std::string path = "/tmp/ujam-listen-test-" +
+                       std::to_string(getpid()) + ".sock";
+    int listener = bindListenSocket(path);
+    timeval timeout{1, 0};
+    ::setsockopt(listener, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                 sizeof(timeout));
+
+    EXPECT_NE(::fcntl(listener, F_GETFL) & O_NONBLOCK, 0);
+    int none = ::accept4(listener, nullptr, nullptr, SOCK_CLOEXEC);
+    int error = errno;
+    EXPECT_EQ(none, -1);
+    EXPECT_TRUE(error == EAGAIN || error == EWOULDBLOCK)
+        << std::strerror(error);
+
+    // Accepted sockets stay blocking: writeAll relies on send()
+    // taking a whole response.
+    ServeClient client;
+    ASSERT_TRUE(client.connect(path));
+    int accepted = ::accept4(listener, nullptr, nullptr, SOCK_CLOEXEC);
+    ASSERT_GE(accepted, 0) << std::strerror(errno);
+    EXPECT_EQ(::fcntl(accepted, F_GETFL) & O_NONBLOCK, 0);
+
+    ::close(accepted);
+    client.close();
+    ::close(listener);
+    ::unlink(path.c_str());
 }
 
 // --- sharded, corruption-tolerant disk tier -------------------------

@@ -2,8 +2,8 @@
  * @file
  * Supervision-tree tests (ctest -L serve-robust): worker crash
  * containment under concurrent clients, the crash-loop circuit
- * breaker into degraded cache-only mode, dispatch-mode fd passing,
- * SIGTERM draining, the restart-backoff and crash-window helpers,
+ * breaker into degraded cache-only mode, SIGTERM and shutdown-frame
+ * draining, the restart-backoff and crash-window helpers,
  * and one exec-based test that kill -9s a worker of the real
  * ujam-serve binary mid-service.
  *
@@ -232,12 +232,15 @@ TEST(SupervisorRobust, WorkerCrashLosesOnlyItsConnections)
     config.server.cacheDir = dir;
     config.server.cacheShards = 4;
     config.server.threads = 2;
-    // Worker 0 is SIGKILLed while serving its second request -- once
-    // per service lifetime (the ordinal counts in shared memory).
+    // A worker is SIGKILLed while serving its second request -- once
+    // per slot per service lifetime (the ordinal counts in shared
+    // memory). Shared accept does not pick workers, so the spec names
+    // none: a client's connection carries its requests to one worker,
+    // so at least one crash happens, and at most 4 stay under the
+    // breaker's default limit of 5.
     config.server.workerFaults = std::vector<ProcessFaultSpec>{
-        parseProcessFaultSpecs("worker_crash:2:0").front()};
+        parseProcessFaultSpecs("worker_crash:2").front()};
     config.workers = 4;
-    config.dispatch = true; // deterministic round-robin placement
     config.backoffBaseMs = 10;
     config.backoffMaxMs = 100;
     pid_t supervisor = startSupervisor(config);
@@ -267,18 +270,20 @@ TEST(SupervisorRobust, WorkerCrashLosesOnlyItsConnections)
         client.join();
     EXPECT_EQ(mismatches.load(), 0);
 
-    // The crash happened, was contained, and the slot came back.
+    // The crashes happened, were contained, and every slot came back.
     auto give_up =
         std::chrono::steady_clock::now() + std::chrono::seconds(10);
     SupervisorStats stats;
     while (std::chrono::steady_clock::now() < give_up) {
         stats = fetchSupervisorStats(sock);
-        if (stats.crashesTotal >= 1 && stats.workersAlive == 4)
+        if (stats.crashesTotal >= 1 && stats.workersAlive == 4 &&
+            stats.restartsTotal >= stats.crashesTotal)
             break;
         std::this_thread::sleep_for(std::chrono::milliseconds(50));
     }
-    EXPECT_EQ(stats.crashesTotal, 1u);
-    EXPECT_GE(stats.restartsTotal, 1u);
+    EXPECT_GE(stats.crashesTotal, 1u);
+    EXPECT_LE(stats.crashesTotal, 4u);
+    EXPECT_GE(stats.restartsTotal, stats.crashesTotal);
     EXPECT_EQ(stats.workersAlive, 4u);
     EXPECT_FALSE(stats.degraded);
 
@@ -398,32 +403,6 @@ TEST(SupervisorRobust, ShutdownFrameDrainsTheWholeService)
     EXPECT_EQ(responseStatus(client.request("{\"op\": \"shutdown\"}")),
               "ok");
     client.close();
-    EXPECT_EQ(waitForExit(supervisor), 0);
-}
-
-TEST(SupervisorRobust, DispatchModePassesConnections)
-{
-    std::string sock = socketPath("dispatch");
-    SupervisorConfig config;
-    config.server.socketPath = sock;
-    config.server.threads = 1;
-    config.server.workerFaults = std::vector<ProcessFaultSpec>{};
-    config.workers = 2;
-    config.dispatch = true;
-    pid_t supervisor = startSupervisor(config);
-    ASSERT_GT(supervisor, 0);
-
-    // Several short-lived connections: round-robin must hand each
-    // to a live worker and every one must answer.
-    for (int i = 0; i < 6; ++i) {
-        ServeClient client;
-        ASSERT_TRUE(client.connect(sock, 5000)) << i;
-        EXPECT_EQ(responseStatus(client.request("{\"op\": \"ping\"}")),
-                  "ok")
-            << i;
-    }
-
-    shutdownService(sock);
     EXPECT_EQ(waitForExit(supervisor), 0);
 }
 
