@@ -10,22 +10,22 @@
  * Reads the program, runs the optimizer on each nest, applies
  * unroll-and-jam plus scalar replacement, prints the transformed
  * program to stdout, and (with --simulate) reports simulated cycles
- * before and after. Exits nonzero on parse/validation errors.
+ * before and after. The knob flags set the service's options of the
+ * same names (service/protocol.hh), with the same checks. Exits
+ * nonzero on bad flag values and parse/validation errors.
  */
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
 #include "analysis/render.hh"
 #include "core/optimizer.hh"
 #include "driver/driver.hh"
 #include "ir/printer.hh"
-#include "ir/validate.hh"
 #include "report/report.hh"
+#include "scenarios/corpus_hook.hh"
+#include "service/protocol.hh"
 #include "support/diagnostics.hh"
-#include "parser/parser.hh"
 #include "sim/simulator.hh"
 
 namespace
@@ -50,56 +50,49 @@ main(int argc, char **argv)
     using namespace ujam;
 
     MachineModel machine = MachineModel::decAlpha21064();
+    ServiceRequest request; // the knobs
+    // This driver's default search bound is 4, not the library's 8.
+    applyRequestOption(request, "max_unroll", "4");
+    const PipelineConfig &config = request.config;
     bool simulate = false;
     bool report = false;
-    bool interchange = false;
-    bool prefetch = false;
-    bool fuse = false;
-    bool distribute = false;
-    std::int64_t max_unroll = 4;
-    LintMode lint = LintMode::Off;
     const char *path = nullptr;
 
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--machine") == 0 && i + 1 < argc) {
+        const char *arg = argv[i];
+        std::string bad_value; // the service's message for a knob flag
+        if (std::strcmp(arg, "--machine") == 0 && i + 1 < argc) {
             std::optional<MachineModel> preset = machinePreset(argv[++i]);
             if (!preset) {
                 usage();
                 return 2;
             }
             machine = *preset;
-        } else if (std::strcmp(argv[i], "--simulate") == 0) {
+        } else if (std::strcmp(arg, "--simulate") == 0) {
             simulate = true;
-        } else if (std::strcmp(argv[i], "--report") == 0) {
+        } else if (std::strcmp(arg, "--report") == 0) {
             report = true;
-        } else if (std::strcmp(argv[i], "--interchange") == 0) {
-            interchange = true;
-        } else if (std::strcmp(argv[i], "--prefetch") == 0) {
-            prefetch = true;
-        } else if (std::strcmp(argv[i], "--fuse") == 0) {
-            fuse = true;
-        } else if (std::strcmp(argv[i], "--distribute") == 0) {
-            distribute = true;
-        } else if (std::strcmp(argv[i], "--max-unroll") == 0 &&
-                   i + 1 < argc) {
-            max_unroll = std::atoll(argv[++i]);
-        } else if (std::strncmp(argv[i], "--lint=", 7) == 0) {
-            std::string mode = argv[i] + 7;
-            if (mode == "off") {
-                lint = LintMode::Off;
-            } else if (mode == "warn") {
-                lint = LintMode::Warn;
-            } else if (mode == "strict") {
-                lint = LintMode::Strict;
-            } else {
-                usage();
-                return 2;
-            }
-        } else if (argv[i][0] == '-') {
+        } else if (std::strcmp(arg, "--interchange") == 0) {
+            bad_value = applyRequestOption(request, "interchange", "true");
+        } else if (std::strcmp(arg, "--prefetch") == 0) {
+            bad_value = applyRequestOption(request, "prefetch", "true");
+        } else if (std::strcmp(arg, "--fuse") == 0) {
+            bad_value = applyRequestOption(request, "fuse", "true");
+        } else if (std::strcmp(arg, "--distribute") == 0) {
+            bad_value = applyRequestOption(request, "distribute", "true");
+        } else if (std::strcmp(arg, "--max-unroll") == 0 && i + 1 < argc) {
+            bad_value = applyRequestOption(request, "max_unroll", argv[++i]);
+        } else if (std::strncmp(arg, "--lint=", 7) == 0) {
+            bad_value = applyRequestOption(request, "lint", arg + 7);
+        } else if (arg[0] == '-') {
             usage();
             return 2;
         } else {
-            path = argv[i];
+            path = arg;
+        }
+        if (!bad_value.empty()) {
+            std::fprintf(stderr, "optimize_file: %s\n", bad_value.c_str());
+            return 2;
         }
     }
     if (!path) {
@@ -107,31 +100,9 @@ main(int argc, char **argv)
         return 2;
     }
 
-    std::ifstream in(path);
-    if (!in) {
-        std::fprintf(stderr, "optimize_file: cannot open '%s'\n", path);
-        return 1;
-    }
-    std::ostringstream text;
-    text << in.rdbuf();
-
     try {
-        Program program = parseProgram(text.str(), path);
-        std::vector<std::string> problems = validateProgram(program);
-        if (!problems.empty()) {
-            for (const std::string &problem : problems)
-                std::fprintf(stderr, "error: %s\n", problem.c_str());
-            return 1;
-        }
-
-        PipelineConfig config;
-        config.optimizer.maxUnroll = max_unroll;
-        config.interchange = interchange;
-        config.prefetch = prefetch;
-        config.fuse = fuse;
-        config.distribute = distribute;
-        config.lint = lint;
-        config.lintOptions.maxUnroll = max_unroll;
+        LoadedProgram input = loadProgramInput(path, false, true);
+        const Program &program = input.program;
 
         if (report) {
             for (const LoopNest &nest : program.nests()) {
@@ -144,9 +115,10 @@ main(int argc, char **argv)
 
         PipelineResult result =
             optimizeProgram(program, machine, config);
-        if (lint != LintMode::Off && !result.lint.diagnostics.empty()) {
+        if (config.lint != LintMode::Off &&
+            !result.lint.diagnostics.empty()) {
             std::fprintf(stderr, "%s",
-                         renderText(result.lint, text.str()).c_str());
+                         renderText(result.lint, input.source).c_str());
         }
         std::fprintf(stderr, "%s", result.summary().c_str());
         std::printf("%s", renderProgram(result.program).c_str());

@@ -123,33 +123,6 @@ renderText(const LintResult &result, const std::string &source)
     return out;
 }
 
-std::string
-renderJson(const LintResult &result)
-{
-    std::string out = "{\n  \"source\": " + quoted(result.sourceName) +
-                      ",\n  \"diagnostics\": [";
-    for (std::size_t i = 0; i < result.diagnostics.size(); ++i) {
-        const LintDiagnostic &diag = result.diagnostics[i];
-        out += i ? ",\n    {" : "\n    {";
-        out += "\"rule\": " + quoted(diag.ruleId);
-        out += ", \"severity\": " +
-               quoted(lintSeverityName(diag.severity));
-        if (diag.loc.known()) {
-            out += concat(", \"line\": ", diag.loc.line,
-                          ", \"col\": ", diag.loc.col);
-        }
-        out += concat(", \"nest\": ", quoted(diag.nestName),
-                      ", \"nestIndex\": ", diag.nestIndex);
-        out += ", \"message\": " + quoted(diag.message);
-        out += "}";
-    }
-    out += result.diagnostics.empty() ? "],\n" : "\n  ],\n";
-    out += concat("  \"errors\": ", result.errorCount(),
-                  ",\n  \"warnings\": ", result.warnCount(),
-                  ",\n  \"notes\": ", result.noteCount(), "\n}\n");
-    return out;
-}
-
 namespace
 {
 

@@ -1,12 +1,13 @@
 /**
  * @file
- * Finding renderers: human text, plain JSON, and SARIF 2.1.0.
+ * Finding renderers: human text and SARIF 2.1.0 (the JSON document is
+ * report/report.hh's lintResultJson, shared with the service).
  *
  * The text renderer optionally quotes the offending source line with
  * a caret; the caret column counts code points, not bytes, so UTF-8
- * text earlier on the line does not push it off target. The JSON and
- * SARIF writers emit keys in a fixed order so their output is stable
- * and golden-testable.
+ * text earlier on the line does not push it off target. The SARIF
+ * writer emits keys in a fixed order so its output is stable and
+ * golden-testable.
  */
 
 #ifndef UJAM_ANALYSIS_RENDER_HH
@@ -37,9 +38,6 @@ std::string sourceExcerpt(const std::string &source, const SourceLoc &loc);
  */
 std::string renderText(const LintResult &result,
                        const std::string &source = "");
-
-/** Render findings as a stable single-object JSON document. */
-std::string renderJson(const LintResult &result);
 
 /**
  * Render findings as a SARIF 2.1.0 log with the full rule catalog in

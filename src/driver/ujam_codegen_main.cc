@@ -12,9 +12,11 @@
  *                  [--run] [--repeat K] [--cflags "FLAGS"]
  *                  (FILE | --suite NAME | --list)
  *
- * --suite accepts a Table-2 loop name ("dmxpy") or a generated
+ * --suite accepts a Table-2 loop name ("dmxpy0") or a generated
  * scenario name ("stencil2d:radius=2:7"); --list enumerates both
- * corpora and exits.
+ * corpora and exits. --seed, --param, --no-main and the stage
+ * switches set the service's seed, params, emit_main and pipeline
+ * options, with the same checks.
  *
  * The input program runs through the optimization pipeline; both the
  * untransformed and the transformed program are emitted as
@@ -48,19 +50,17 @@
 #include <chrono>
 #include <fstream>
 #include <limits>
-#include <sstream>
 
 #include "codegen/c_emitter.hh"
 #include "codegen/checksum.hh"
 #include "codegen/compile.hh"
 #include "driver/driver.hh"
 #include "ir/interp.hh"
-#include "ir/validate.hh"
-#include "parser/parser.hh"
 #include "report/report.hh"
 #include "scenarios/corpus_hook.hh"
+#include "service/protocol.hh"
 #include "support/diagnostics.hh"
-#include "workloads/suite.hh"
+#include "support/string_utils.hh"
 
 namespace
 {
@@ -107,8 +107,9 @@ main(int argc, char **argv)
     using namespace ujam;
 
     MachineModel machine = MachineModel::decAlpha21064();
-    PipelineConfig config;
-    CodegenOptions codegen;
+    ServiceRequest request; // the knobs: config and codegen
+    const PipelineConfig &config = request.config;
+    const CodegenOptions &codegen = request.codegen;
     std::string out_dir = ".";
     std::string suite_name;
     std::string path;
@@ -119,6 +120,7 @@ main(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
+        std::string bad_value; // the service's message for a knob flag
         if (std::strcmp(arg, "--machine") == 0 && i + 1 < argc) {
             std::optional<MachineModel> preset = machinePreset(argv[++i]);
             if (!preset) {
@@ -129,34 +131,26 @@ main(int argc, char **argv)
         } else if (std::strcmp(arg, "--out") == 0 && i + 1 < argc) {
             out_dir = argv[++i];
         } else if (std::strcmp(arg, "--seed") == 0 && i + 1 < argc) {
-            codegen.seed =
-                std::strtoull(argv[++i], nullptr, 10);
+            bad_value = applyRequestOption(request, "seed", argv[++i]);
         } else if (std::strcmp(arg, "--param") == 0 && i + 1 < argc) {
-            std::string binding = argv[++i];
-            std::size_t eq = binding.find('=');
-            if (eq == std::string::npos || eq == 0) {
-                usage();
-                return 2;
-            }
-            codegen.paramOverrides[binding.substr(0, eq)] =
-                std::atoll(binding.c_str() + eq + 1);
+            bad_value = applyRequestOption(request, "params", argv[++i]);
         } else if (std::strcmp(arg, "--no-main") == 0) {
-            codegen.emitMain = false;
+            bad_value = applyRequestOption(request, "emit_main", "false");
         } else if (std::strcmp(arg, "--fuse") == 0) {
-            config.fuse = true;
+            bad_value = applyRequestOption(request, "fuse", "true");
         } else if (std::strcmp(arg, "--distribute") == 0) {
-            config.distribute = true;
+            bad_value = applyRequestOption(request, "distribute", "true");
         } else if (std::strcmp(arg, "--interchange") == 0) {
-            config.interchange = true;
+            bad_value = applyRequestOption(request, "interchange", "true");
         } else if (std::strcmp(arg, "--prefetch") == 0) {
-            config.prefetch = true;
+            bad_value = applyRequestOption(request, "prefetch", "true");
         } else if (std::strcmp(arg, "--json") == 0) {
             json = true;
         } else if (std::strcmp(arg, "--run") == 0) {
             run = true;
         } else if (std::strcmp(arg, "--repeat") == 0 && i + 1 < argc) {
-            repeat = std::atoi(argv[++i]);
-            if (repeat < 1 || repeat > 1000) {
+            if (!parseCount(argv[++i], repeat) || repeat < 1 ||
+                repeat > 1000) {
                 usage();
                 return 2;
             }
@@ -176,6 +170,10 @@ main(int argc, char **argv)
             usage();
             return 2;
         }
+        if (!bad_value.empty()) {
+            std::fprintf(stderr, "ujam-codegen: %s\n", bad_value.c_str());
+            return 2;
+        }
     }
     if (path.empty() == suite_name.empty()) {
         usage();
@@ -191,29 +189,11 @@ main(int argc, char **argv)
     Program program;
     std::string stem;
     try {
-        if (!suite_name.empty()) {
-            program = loadCorpusProgram(suite_name);
-            stem = corpusFileStem(suite_name);
-        } else {
-            std::ifstream in(path);
-            if (!in) {
-                std::fprintf(stderr,
-                             "ujam-codegen: cannot open '%s'\n",
-                             path.c_str());
-                return 2;
-            }
-            std::ostringstream text;
-            text << in.rdbuf();
-            program = parseProgram(text.str(), path);
-            stem = stemOf(path);
-        }
-        std::vector<std::string> problems = validateProgram(program);
-        if (!problems.empty()) {
-            for (const std::string &problem : problems)
-                std::fprintf(stderr, "ujam-codegen: %s\n",
-                             problem.c_str());
-            return 2;
-        }
+        bool corpus = !suite_name.empty();
+        program = loadProgramInput(corpus ? suite_name : path, corpus,
+                                   true)
+                      .program;
+        stem = corpus ? corpusFileStem(suite_name) : stemOf(path);
     } catch (const FatalError &err) {
         std::fprintf(stderr, "%s\n", err.what());
         return 2;

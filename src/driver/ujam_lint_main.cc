@@ -11,12 +11,14 @@
  *
  * Each FILE is parsed and analyzed; a bare --suite additionally
  * analyzes every built-in evaluation-suite workload, --suite NAME
- * one Table-2 loop ("dmxpy") or generated scenario
+ * one Table-2 loop ("dmxpy0") or generated scenario
  * ("stencil2d:radius=2:7"), and --list enumerates both corpora and
- * exits. Text output quotes the
- * offending source lines; json emits one document per input (an array
- * when there are several); sarif emits one 2.1.0 log with one run per
- * input, true end columns and machine-applicable fixes.
+ * exits. --max-unroll and --min-severity take the service's
+ * max_unroll and min_severity values. Text output quotes the
+ * offending source lines; json emits the service's lint document per
+ * input (an array when there are several); sarif emits one 2.1.0 log
+ * with one run per input, true end columns and machine-applicable
+ * fixes.
  *
  * --baseline FILE suppresses every finding recorded in FILE (see
  * findings_baseline.hh), so only new findings surface -- the CI
@@ -37,10 +39,11 @@
 #include "analysis/linter.hh"
 #include "analysis/render.hh"
 #include "analysis/rule.hh"
-#include "parser/parser.hh"
+#include "report/report.hh"
 #include "scenarios/corpus_hook.hh"
-#include "scenarios/scenario.hh"
+#include "service/protocol.hh"
 #include "support/diagnostics.hh"
+#include "support/json.hh"
 #include "workloads/suite.hh"
 
 namespace
@@ -89,7 +92,7 @@ main(int argc, char **argv)
 
     MachineModel machine = MachineModel::decAlpha21064();
     Format format = Format::Text;
-    LintOptions options;
+    ServiceRequest request; // the knobs; lint reads config.lintOptions
     bool lint_suite = false;
     std::string suite_name;
     const char *baseline_path = nullptr;
@@ -98,6 +101,7 @@ main(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
+        std::string bad_value; // the service's message for a knob flag
         if (std::strncmp(arg, "--format=", 9) == 0) {
             std::string name = arg + 9;
             if (name == "text") {
@@ -119,19 +123,9 @@ main(int argc, char **argv)
             machine = *preset;
         } else if (std::strcmp(arg, "--max-unroll") == 0 &&
                    i + 1 < argc) {
-            options.maxUnroll = std::atoll(argv[++i]);
+            bad_value = applyRequestOption(request, "max_unroll", argv[++i]);
         } else if (std::strncmp(arg, "--min-severity=", 15) == 0) {
-            std::string name = arg + 15;
-            if (name == "note") {
-                options.minSeverity = LintSeverity::Note;
-            } else if (name == "warn") {
-                options.minSeverity = LintSeverity::Warn;
-            } else if (name == "error") {
-                options.minSeverity = LintSeverity::Error;
-            } else {
-                usage();
-                return 2;
-            }
+            bad_value = applyRequestOption(request, "min_severity", arg + 15);
         } else if (std::strcmp(arg, "--suite") == 0) {
             // --suite NAME analyzes one Table-2 loop or scenario; a
             // bare --suite analyzes every Table-2 loop.
@@ -162,62 +156,34 @@ main(int argc, char **argv)
         } else {
             paths.push_back(arg);
         }
+        if (!bad_value.empty()) {
+            std::fprintf(stderr, "ujam-lint: %s\n", bad_value.c_str());
+            return 2;
+        }
     }
     if (paths.empty() && !lint_suite && suite_name.empty()) {
         usage();
         return 2;
     }
 
-    // (source text, lint result) per analyzed input.
+    // (source text, lint result) per analyzed input. The linter
+    // reports on invalid programs, so inputs load unvalidated.
     std::vector<std::pair<std::string, LintResult>> runs;
-
+    auto lint = [&](const std::string &input, bool corpus) {
+        LoadedProgram loaded = loadProgramInput(input, corpus, false);
+        runs.emplace_back(std::move(loaded.source),
+                          lintProgram(loaded.program, machine,
+                                      request.config.lintOptions));
+    };
     try {
-        for (const char *path : paths) {
-            std::ifstream in(path);
-            if (!in) {
-                std::fprintf(stderr, "ujam-lint: cannot open '%s'\n",
-                             path);
-                return 2;
-            }
-            std::ostringstream text;
-            text << in.rdbuf();
-            Program program = parseProgram(text.str(), path);
-            runs.emplace_back(text.str(),
-                              lintProgram(program, machine, options));
-        }
+        for (const char *path : paths)
+            lint(path, false);
         if (lint_suite) {
-            for (const SuiteLoop &loop : testSuite()) {
-                Program program =
-                    parseProgram(loop.source, "suite:" + loop.name);
-                runs.emplace_back(
-                    loop.source, lintProgram(program, machine, options));
-            }
+            for (const SuiteLoop &loop : testSuite())
+                lint(loop.name, true);
         }
-        if (!suite_name.empty()) {
-            if (looksLikeScenarioName(suite_name)) {
-                std::string error;
-                std::optional<ScenarioSpec> spec =
-                    parseScenarioSpec(suite_name, &error);
-                if (!spec) {
-                    std::fprintf(stderr, "ujam-lint: %s\n",
-                                 error.c_str());
-                    return 2;
-                }
-                GeneratedScenario scenario = generateScenario(*spec);
-                Program program = parseProgram(
-                    scenario.source, "scenario:" + scenario.name);
-                runs.emplace_back(
-                    scenario.source,
-                    lintProgram(program, machine, options));
-            } else {
-                const SuiteLoop &loop = suiteLoop(suite_name);
-                Program program =
-                    parseProgram(loop.source, "suite:" + loop.name);
-                runs.emplace_back(
-                    loop.source,
-                    lintProgram(program, machine, options));
-            }
-        }
+        if (!suite_name.empty())
+            lint(suite_name, true);
     } catch (const FatalError &err) {
         std::fprintf(stderr, "%s\n", err.what());
         return 2;
@@ -264,14 +230,15 @@ main(int argc, char **argv)
         break;
       case Format::Json:
         if (runs.size() == 1) {
-            std::printf("%s", renderJson(runs.front().second).c_str());
+            std::printf("%s\n",
+                        lintResultJson(runs.front().second).c_str());
         } else {
-            std::printf("[\n");
-            for (std::size_t i = 0; i < runs.size(); ++i) {
-                std::printf("%s%s", renderJson(runs[i].second).c_str(),
-                            i + 1 < runs.size() ? ",\n" : "");
-            }
-            std::printf("]\n");
+            JsonWriter json;
+            json.beginArray();
+            for (const auto &[source, result] : runs)
+                json.rawValue(lintResultJson(result));
+            json.endArray();
+            std::printf("%s\n", json.str().c_str());
         }
         break;
       case Format::Sarif: {

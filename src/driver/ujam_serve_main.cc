@@ -52,6 +52,7 @@
 #include "service/server.hh"
 #include "service/supervisor.hh"
 #include "support/diagnostics.hh"
+#include "support/string_utils.hh"
 
 namespace
 {
@@ -123,6 +124,13 @@ main(int argc, char **argv)
     bool dump_metrics = false;
     int retries = 3;
 
+    // Numeric flags read strictly: the whole argument, non-negative,
+    // in range of its field. A bad value is a usage error.
+    bool bad_value = false;
+    auto count = [&bad_value](const char *text, auto &field) {
+        if (!parseCount(text, field))
+            bad_value = true;
+    };
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
         if (std::strcmp(arg, "--batch") == 0) {
@@ -134,49 +142,46 @@ main(int argc, char **argv)
             mode = Mode::Client;
             config.socketPath = argv[++i];
         } else if (std::strcmp(arg, "--threads") == 0 && i + 1 < argc) {
-            config.threads = std::strtoul(argv[++i], nullptr, 10);
+            count(argv[++i], config.threads);
         } else if (std::strcmp(arg, "--queue") == 0 && i + 1 < argc) {
-            config.queueLimit = std::strtoul(argv[++i], nullptr, 10);
+            count(argv[++i], config.queueLimit);
         } else if (std::strcmp(arg, "--cache-dir") == 0 &&
                    i + 1 < argc) {
             config.cacheDir = argv[++i];
         } else if (std::strcmp(arg, "--cache-mem") == 0 &&
                    i + 1 < argc) {
-            config.cacheMemEntries =
-                std::strtoul(argv[++i], nullptr, 10);
+            count(argv[++i], config.cacheMemEntries);
         } else if (std::strcmp(arg, "--cache-max-bytes") == 0 &&
                    i + 1 < argc) {
-            config.cacheMaxBytes =
-                std::strtoull(argv[++i], nullptr, 10);
+            count(argv[++i], config.cacheMaxBytes);
         } else if (std::strcmp(arg, "--cache-shards") == 0 &&
                    i + 1 < argc) {
-            config.cacheShards = std::strtoul(argv[++i], nullptr, 10);
+            count(argv[++i], config.cacheShards);
         } else if (std::strcmp(arg, "--deadline-ms") == 0 &&
                    i + 1 < argc) {
-            config.defaultDeadlineMs = std::atoll(argv[++i]);
+            count(argv[++i], config.defaultDeadlineMs.emplace());
         } else if (std::strcmp(arg, "--idle-timeout-ms") == 0 &&
                    i + 1 < argc) {
-            config.idleTimeoutMs = std::atoll(argv[++i]);
+            count(argv[++i], config.idleTimeoutMs);
         } else if (std::strcmp(arg, "--workers") == 0 && i + 1 < argc) {
-            workers = std::strtoul(argv[++i], nullptr, 10);
+            count(argv[++i], workers);
         } else if (std::strcmp(arg, "--drain-ms") == 0 &&
                    i + 1 < argc) {
-            supervision.drainMs = std::atoll(argv[++i]);
+            count(argv[++i], supervision.drainMs);
         } else if (std::strcmp(arg, "--breaker-crashes") == 0 &&
                    i + 1 < argc) {
-            supervision.breakerCrashes =
-                std::strtoull(argv[++i], nullptr, 10);
+            count(argv[++i], supervision.breakerCrashes);
         } else if (std::strcmp(arg, "--breaker-window-ms") == 0 &&
                    i + 1 < argc) {
-            supervision.breakerWindowMs = std::atoll(argv[++i]);
+            count(argv[++i], supervision.breakerWindowMs);
         } else if (std::strcmp(arg, "--backoff-base-ms") == 0 &&
                    i + 1 < argc) {
-            supervision.backoffBaseMs = std::atoll(argv[++i]);
+            count(argv[++i], supervision.backoffBaseMs);
         } else if (std::strcmp(arg, "--backoff-max-ms") == 0 &&
                    i + 1 < argc) {
-            supervision.backoffMaxMs = std::atoll(argv[++i]);
+            count(argv[++i], supervision.backoffMaxMs);
         } else if (std::strcmp(arg, "--retries") == 0 && i + 1 < argc) {
-            retries = std::atoi(argv[++i]);
+            count(argv[++i], retries);
         } else if (std::strcmp(arg, "--dump-metrics") == 0) {
             dump_metrics = true;
         } else if (arg[0] == '-') {
@@ -185,6 +190,10 @@ main(int argc, char **argv)
         } else if (mode == Mode::Client && client_file.empty()) {
             client_file = arg;
         } else {
+            usage();
+            return 2;
+        }
+        if (bad_value) {
             usage();
             return 2;
         }

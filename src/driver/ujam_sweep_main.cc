@@ -40,6 +40,7 @@
 #include "scenarios/corpus_hook.hh"
 #include "scenarios/sweep.hh"
 #include "support/diagnostics.hh"
+#include "support/string_utils.hh"
 
 namespace
 {
@@ -72,8 +73,10 @@ main(int argc, char **argv)
             manifest_path = argv[++i];
         } else if (std::strcmp(arg, "--threads") == 0 &&
                    i + 1 < argc) {
-            threads = static_cast<std::size_t>(
-                std::strtoull(argv[++i], nullptr, 10));
+            if (!parseCount(argv[++i], threads)) {
+                usage();
+                return 2;
+            }
         } else if (std::strcmp(arg, "--json") == 0) {
             json = true;
         } else if (std::strcmp(arg, "--out") == 0 && i + 1 < argc) {

@@ -11,7 +11,9 @@
  *
  * --suite NAME accepts a Table-2 loop name or a generated scenario
  * name like "stencil2d:radius=2:7"; --list enumerates both corpora
- * and exits.
+ * and exits. --budget-ms, --neighborhood, --repeats, --warmup, --seed
+ * and --measure set the service's tune_* and seed options, with the
+ * same checks.
  *
  * For every nest of the input program (or of each Table-2 suite loop
  * when --suite is given without a name) the tuner seeds a
@@ -33,11 +35,9 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 
-#include "ir/validate.hh"
-#include "parser/parser.hh"
 #include "scenarios/corpus_hook.hh"
+#include "service/protocol.hh"
 #include "support/diagnostics.hh"
 #include "support/string_utils.hh"
 #include "tune/autotuner.hh"
@@ -58,12 +58,6 @@ usage()
         "(FILE | --suite [NAME] | --list)\n");
 }
 
-struct NamedProgram
-{
-    std::string name;
-    ujam::Program program;
-};
-
 } // namespace
 
 int
@@ -72,7 +66,8 @@ main(int argc, char **argv)
     using namespace ujam;
 
     MachineModel machine = MachineModel::decAlpha21064();
-    TuneConfig config;
+    ServiceRequest request; // the knobs; the CLI measures wall time
+    TuneConfig &config = request.tune;
     std::string path;
     std::string suite_name;
     bool suite_all = false;
@@ -81,6 +76,7 @@ main(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
+        std::string bad_value; // the service's message for a knob flag
         if (std::strcmp(arg, "--machine") == 0 && i + 1 < argc) {
             std::optional<MachineModel> preset = machinePreset(argv[++i]);
             if (!preset) {
@@ -88,30 +84,24 @@ main(int argc, char **argv)
                 return 2;
             }
             machine = *preset;
-        } else if (std::strcmp(arg, "--budget-ms") == 0 &&
-                   i + 1 < argc) {
-            config.budgetMs = std::atoll(argv[++i]);
+        } else if (std::strcmp(arg, "--budget-ms") == 0 && i + 1 < argc) {
+            bad_value = applyRequestOption(request, "tune_budget_ms",
+                                           argv[++i]);
         } else if (std::strcmp(arg, "--neighborhood") == 0 &&
                    i + 1 < argc) {
-            config.neighborhood = std::atoll(argv[++i]);
-        } else if (std::strcmp(arg, "--repeats") == 0 &&
-                   i + 1 < argc) {
-            config.repeats = std::atoi(argv[++i]);
+            bad_value = applyRequestOption(request, "tune_neighborhood",
+                                           argv[++i]);
+        } else if (std::strcmp(arg, "--repeats") == 0 && i + 1 < argc) {
+            bad_value = applyRequestOption(request, "tune_repeats",
+                                           argv[++i]);
         } else if (std::strcmp(arg, "--warmup") == 0 && i + 1 < argc) {
-            config.warmup = std::atoi(argv[++i]);
+            bad_value = applyRequestOption(request, "tune_warmup",
+                                           argv[++i]);
         } else if (std::strcmp(arg, "--seed") == 0 && i + 1 < argc) {
-            config.seed = std::strtoull(argv[++i], nullptr, 10);
-        } else if (std::strcmp(arg, "--measure") == 0 &&
-                   i + 1 < argc) {
-            std::string mode = argv[++i];
-            if (mode == "wall") {
-                config.measure = MeasureMode::Wall;
-            } else if (mode == "model") {
-                config.measure = MeasureMode::Model;
-            } else {
-                usage();
-                return 2;
-            }
+            bad_value = applyRequestOption(request, "seed", argv[++i]);
+        } else if (std::strcmp(arg, "--measure") == 0 && i + 1 < argc) {
+            bad_value = applyRequestOption(request, "tune_measure",
+                                           argv[++i]);
         } else if (std::strcmp(arg, "--cflags") == 0 && i + 1 < argc) {
             config.cflags = argv[++i];
         } else if (std::strcmp(arg, "--json") == 0) {
@@ -139,6 +129,10 @@ main(int argc, char **argv)
             usage();
             return 2;
         }
+        if (!bad_value.empty()) {
+            std::fprintf(stderr, "ujam-tune: %s\n", bad_value.c_str());
+            return 2;
+        }
     }
     int sources = (path.empty() ? 0 : 1) +
                   (suite_name.empty() ? 0 : 1) + (suite_all ? 1 : 0);
@@ -147,35 +141,15 @@ main(int argc, char **argv)
         return 2;
     }
 
-    std::vector<NamedProgram> programs;
+    std::vector<LoadedProgram> programs;
     try {
         if (suite_all) {
             for (const SuiteLoop &loop : testSuite())
-                programs.push_back(
-                    {loop.name, loadSuiteProgram(loop)});
-        } else if (!suite_name.empty()) {
-            programs.push_back(
-                {suite_name, loadCorpusProgram(suite_name)});
+                programs.push_back(loadProgramInput(loop.name, true, true));
         } else {
-            std::ifstream in(path);
-            if (!in) {
-                std::fprintf(stderr,
-                             "ujam-tune: cannot open '%s'\n",
-                             path.c_str());
-                return 2;
-            }
-            std::ostringstream text;
-            text << in.rdbuf();
-            Program program = parseProgram(text.str(), path);
-            std::vector<std::string> problems =
-                validateProgram(program);
-            if (!problems.empty()) {
-                for (const std::string &problem : problems)
-                    std::fprintf(stderr, "ujam-tune: %s\n",
-                                 problem.c_str());
-                return 2;
-            }
-            programs.push_back({path, std::move(program)});
+            bool corpus = !suite_name.empty();
+            programs.push_back(loadProgramInput(
+                corpus ? suite_name : path, corpus, true));
         }
     } catch (const FatalError &err) {
         std::fprintf(stderr, "%s\n", err.what());
@@ -199,7 +173,7 @@ main(int argc, char **argv)
                    "\"programs\": [";
 
     bool first = true;
-    for (const NamedProgram &entry : programs) {
+    for (const LoadedProgram &entry : programs) {
         TuneResult result;
         try {
             result = tuneProgram(entry.program, machine, config);

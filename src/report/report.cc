@@ -219,7 +219,7 @@ lintJson(JsonWriter &json, const LintResult &lint)
 } // namespace
 
 std::string
-pipelineResultJson(const PipelineResult &result, bool include_program)
+pipelineResultJson(const PipelineResult &result)
 {
     JsonWriter json;
     json.beginObject();
@@ -267,8 +267,7 @@ pipelineResultJson(const PipelineResult &result, bool include_program)
     if (!result.lint.sourceName.empty())
         lintJson(json, result.lint);
 
-    if (include_program)
-        json.field("program", renderProgram(result.program));
+    json.field("program", renderProgram(result.program));
 
     json.endObject();
     return json.str();

@@ -68,16 +68,15 @@ std::string safetyReport(const PipelineResult &result);
  * returns; it is deterministic for a given result (no timings, no
  * environment).
  *
- * @param result          A finished pipeline run.
- * @param include_program Emit the transformed program's source text.
+ * @param result A finished pipeline run.
  * @return One-line JSON object text.
  */
-std::string pipelineResultJson(const PipelineResult &result,
-                               bool include_program = true);
+std::string pipelineResultJson(const PipelineResult &result);
 
 /**
  * @return An analyzer run as one compact JSON object (same "lint"
- * schema pipelineResultJson embeds, as a standalone document).
+ * schema pipelineResultJson embeds, as a standalone document): the
+ * service's lint payload and ujam-lint's --format=json output.
  */
 std::string lintResultJson(const LintResult &lint);
 

@@ -1,15 +1,13 @@
 #include "scenarios/scenario.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <sstream>
 
 #include "deps/analyzer.hh"
-#include "ir/validate.hh"
-#include "parser/parser.hh"
 #include "reuse/ugs.hh"
 #include "scenarios/families.hh"
 #include "support/diagnostics.hh"
+#include "support/string_utils.hh"
 
 namespace ujam
 {
@@ -141,50 +139,6 @@ namespace
 {
 
 bool
-parseInt64(const std::string &text, std::int64_t &value)
-{
-    if (text.empty())
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    long long parsed = std::strtoll(text.c_str(), &end, 10);
-    if (errno != 0 || end != text.c_str() + text.size())
-        return false;
-    value = parsed;
-    return true;
-}
-
-bool
-parseUint64(const std::string &text, std::uint64_t &value)
-{
-    if (text.empty() || text[0] == '-')
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    unsigned long long parsed = std::strtoull(text.c_str(), &end, 10);
-    if (errno != 0 || end != text.c_str() + text.size())
-        return false;
-    value = parsed;
-    return true;
-}
-
-std::vector<std::string>
-split(const std::string &text, char sep)
-{
-    std::vector<std::string> parts;
-    std::size_t start = 0;
-    while (true) {
-        std::size_t pos = text.find(sep, start);
-        if (pos == std::string::npos) {
-            parts.push_back(text.substr(start));
-            return parts;
-        }
-        parts.push_back(text.substr(start, pos - start));
-        start = pos + 1;
-    }
-}
-
-bool
 fail(std::string *error, const std::string &message)
 {
     if (error)
@@ -271,23 +225,6 @@ generateScenario(const ScenarioSpec &spec)
     GeneratedScenario scenario = generator->generate(spec);
     scenario.name = spec.toString();
     return scenario;
-}
-
-Program
-loadScenarioProgram(const std::string &name)
-{
-    std::string error;
-    std::optional<ScenarioSpec> spec = parseScenarioSpec(name, &error);
-    if (!spec)
-        fatal("invalid scenario '", name, "': ", error);
-    GeneratedScenario scenario = generateScenario(*spec);
-    Program program =
-        parseProgram(scenario.source, "scenario:" + scenario.name);
-    std::vector<std::string> problems = validateProgram(program);
-    if (!problems.empty())
-        panic("scenario '", scenario.name,
-              "' emitted an invalid program: ", problems.front());
-    return program;
 }
 
 namespace

@@ -168,16 +168,6 @@ bool looksLikeScenarioName(const std::string &name);
 GeneratedScenario generateScenario(const ScenarioSpec &spec);
 
 /**
- * Resolve a scenario name to a parsed, validated Program.
- *
- * The program's sourceName() is "scenario:" + the canonical name.
- *
- * @throws FatalError on an invalid name or (a generator bug) an
- *         invalid emitted program.
- */
-Program loadScenarioProgram(const std::string &name);
-
-/**
  * @return A human-readable catalog of every registered family --
  * name, summary and parameter schema -- for the CLIs' --list output.
  */

@@ -1,9 +1,12 @@
 #include "service/protocol.hh"
 
+#include <algorithm>
 #include <limits>
 
 #include "scenarios/scenario.hh"
+#include "support/diagnostics.hh"
 #include "support/json.hh"
+#include "support/string_utils.hh"
 
 namespace ujam
 {
@@ -30,199 +33,233 @@ serviceOpName(ServiceOp op)
     return "?";
 }
 
+const std::vector<RequestOption> &
+requestOptions()
+{
+    using K = OptionKind;
+    using R = ServiceRequest;
+    using V = OptionValue;
+    static const std::vector<RequestOption> table = {
+        {"max_unroll", K::Int, 1, 64, {}, [](R &r, const V &v) {
+             r.config.optimizer.maxUnroll = v.integer;
+             r.config.lintOptions.maxUnroll = v.integer;
+         }},
+        {"max_loops", K::Int, 1, 8, {}, [](R &r, const V &v) {
+             r.config.optimizer.maxLoops = std::size_t(v.integer);
+         }},
+        {"use_cache_model", K::Bool, 0, 0, {}, [](R &r, const V &v) {
+             r.config.optimizer.useCacheModel = v.flag;
+         }},
+        {"limit_registers", K::Bool, 0, 0, {}, [](R &r, const V &v) {
+             r.config.optimizer.limitRegisters = v.flag;
+         }},
+        {"localized_trip", K::Number, 0, 0, {}, [](R &r, const V &v) {
+             r.config.optimizer.locality.localizedTrip = v.number;
+         }},
+        {"fuse", K::Bool, 0, 0, {},
+         [](R &r, const V &v) { r.config.fuse = v.flag; }},
+        {"normalize", K::Bool, 0, 0, {},
+         [](R &r, const V &v) { r.config.normalize = v.flag; }},
+        {"distribute", K::Bool, 0, 0, {},
+         [](R &r, const V &v) { r.config.distribute = v.flag; }},
+        {"interchange", K::Bool, 0, 0, {},
+         [](R &r, const V &v) { r.config.interchange = v.flag; }},
+        {"scalar_replace", K::Bool, 0, 0, {},
+         [](R &r, const V &v) { r.config.scalarReplace = v.flag; }},
+        {"prefetch", K::Bool, 0, 0, {},
+         [](R &r, const V &v) { r.config.prefetch = v.flag; }},
+        {"prefetch_distance", K::Int, 1, 1024, {}, [](R &r, const V &v) {
+             r.config.prefetchConfig.distanceIters = v.integer;
+         }},
+        {"validate", K::Bool, 0, 0, {},
+         [](R &r, const V &v) { r.config.safety.validate = v.flag; }},
+        {"oracle", K::Bool, 0, 0, {},
+         [](R &r, const V &v) { r.config.safety.oracle = v.flag; }},
+        {"lint", K::Choice, 0, 0, {"off", "warn", "strict"},
+         [](R &r, const V &v) {
+             constexpr LintMode modes[] = {LintMode::Off, LintMode::Warn,
+                                           LintMode::Strict};
+             r.config.lint = modes[v.integer];
+         }},
+        {"min_severity", K::Choice, 0, 0, {"note", "warn", "error"},
+         [](R &r, const V &v) {
+             constexpr LintSeverity levels[] = {
+                 LintSeverity::Note, LintSeverity::Warn, LintSeverity::Error};
+             r.config.lintOptions.minSeverity = levels[v.integer];
+         }},
+        // Worker width inside one request; never part of the cache
+        // key (results are bit-identical at every width).
+        {"threads", K::Int, 0, 1024, {}, [](R &r, const V &v) {
+             r.config.threads = std::size_t(v.integer);
+         }},
+        {"seed", K::Int, 0, std::int64_t(1) << 62, {}, [](R &r, const V &v) {
+             r.codegen.seed = r.tune.seed = std::uint64_t(v.integer);
+         }},
+        {"tune_measure", K::Choice, 0, 0, {"model", "wall"},
+         [](R &r, const V &v) {
+             r.tune.measure =
+                 v.integer ? MeasureMode::Wall : MeasureMode::Model;
+         }},
+        {"tune_budget_ms", K::Int, 0, std::int64_t(1) << 40, {},
+         [](R &r, const V &v) { r.tune.budgetMs = v.integer; }},
+        {"tune_neighborhood", K::Int, 0, 8, {},
+         [](R &r, const V &v) { r.tune.neighborhood = v.integer; }},
+        {"tune_repeats", K::Int, 1, 64, {},
+         [](R &r, const V &v) { r.tune.repeats = int(v.integer); }},
+        {"tune_warmup", K::Int, 0, 64, {},
+         [](R &r, const V &v) { r.tune.warmup = int(v.integer); }},
+        {"emit_main", K::Bool, 0, 0, {},
+         [](R &r, const V &v) { r.codegen.emitMain = v.flag; }},
+        {"params", K::Params, std::numeric_limits<std::int64_t>::min(),
+         std::numeric_limits<std::int64_t>::max(), {},
+         [](R &r, const V &v) {
+             r.codegen.paramOverrides[v.param] = v.integer;
+         }},
+    };
+    return table;
+}
+
 namespace
 {
 
-/** Accumulates the first field error while options are applied. */
-struct FieldErrors
+/** The top-level numeric and boolean fields, checked like options. */
+const RequestOption kDeadlineField{
+    "deadline_ms", OptionKind::Int, 0, std::int64_t(1) << 40, {},
+    [](ServiceRequest &r, const OptionValue &v) { r.deadlineMs = v.integer; }};
+const RequestOption kNoCacheField{
+    "no_cache", OptionKind::Bool, 0, 0, {},
+    [](ServiceRequest &r, const OptionValue &v) { r.noCache = v.flag; }};
+
+std::string
+mustBe(const std::string &name, const std::string &what)
 {
-    std::string message;
-
-    void
-    fail(const std::string &what)
-    {
-        if (message.empty())
-            message = what;
-    }
-
-    bool ok() const { return message.empty(); }
-};
-
-bool
-readBool(const JsonValue &value, const std::string &name, bool &out,
-         FieldErrors &errors)
-{
-    if (!value.isBool()) {
-        errors.fail("option '" + name + "' must be a boolean");
-        return false;
-    }
-    out = value.boolValue;
-    return true;
+    return concat("option '", name, "' must be ", what);
 }
 
-bool
-readInt(const JsonValue &value, const std::string &name,
-        std::int64_t lo, std::int64_t hi, std::int64_t &out,
-        FieldErrors &errors)
+std::string
+rangeError(const std::string &name, const RequestOption &option)
 {
-    std::optional<std::int64_t> parsed = value.asInt();
-    if (!parsed || *parsed < lo || *parsed > hi) {
-        errors.fail("option '" + name + "' must be an integer in [" +
-                    std::to_string(lo) + ", " + std::to_string(hi) +
-                    "]");
-        return false;
-    }
-    out = *parsed;
-    return true;
+    return mustBe(name, concat("an integer in [", option.lo, ", ",
+                               option.hi, "]"));
 }
 
-void
-applyOption(const std::string &name, const JsonValue &value,
-            ServiceRequest &request, FieldErrors &errors)
+/** @return The integer a JSON value or a whole text spells, if any. */
+std::optional<std::int64_t>
+readInteger(const JsonValue *json, const std::string &text)
 {
-    PipelineConfig &config = request.config;
-    std::int64_t integer = 0;
-    bool flag = false;
+    std::int64_t value = 0;
+    if (json)
+        return json->asInt();
+    if (parseInt64(text, value))
+        return value;
+    return std::nullopt;
+}
 
-    if (name == "max_unroll") {
-        if (readInt(value, name, 1, 64, integer, errors)) {
-            config.optimizer.maxUnroll = integer;
-            config.lintOptions.maxUnroll = integer;
-        }
-    } else if (name == "max_loops") {
-        if (readInt(value, name, 1, 8, integer, errors))
-            config.optimizer.maxLoops =
-                static_cast<std::size_t>(integer);
-    } else if (name == "use_cache_model") {
-        if (readBool(value, name, flag, errors))
-            config.optimizer.useCacheModel = flag;
-    } else if (name == "limit_registers") {
-        if (readBool(value, name, flag, errors))
-            config.optimizer.limitRegisters = flag;
-    } else if (name == "localized_trip") {
-        if (!value.isNumber() || value.numberValue <= 0) {
-            errors.fail("option 'localized_trip' must be a positive "
-                        "number");
-        } else {
-            config.optimizer.locality.localizedTrip =
-                value.numberValue;
-        }
-    } else if (name == "fuse") {
-        if (readBool(value, name, flag, errors))
-            config.fuse = flag;
-    } else if (name == "normalize") {
-        if (readBool(value, name, flag, errors))
-            config.normalize = flag;
-    } else if (name == "distribute") {
-        if (readBool(value, name, flag, errors))
-            config.distribute = flag;
-    } else if (name == "interchange") {
-        if (readBool(value, name, flag, errors))
-            config.interchange = flag;
-    } else if (name == "scalar_replace") {
-        if (readBool(value, name, flag, errors))
-            config.scalarReplace = flag;
-    } else if (name == "prefetch") {
-        if (readBool(value, name, flag, errors))
-            config.prefetch = flag;
-    } else if (name == "prefetch_distance") {
-        if (readInt(value, name, 1, 1024, integer, errors))
-            config.prefetchConfig.distanceIters = integer;
-    } else if (name == "validate") {
-        if (readBool(value, name, flag, errors))
-            config.safety.validate = flag;
-    } else if (name == "oracle") {
-        if (readBool(value, name, flag, errors))
-            config.safety.oracle = flag;
-    } else if (name == "lint") {
-        if (!value.isString()) {
-            errors.fail("option 'lint' must be \"off\", \"warn\" or "
-                        "\"strict\"");
-        } else if (value.stringValue == "off") {
-            config.lint = LintMode::Off;
-        } else if (value.stringValue == "warn") {
-            config.lint = LintMode::Warn;
-        } else if (value.stringValue == "strict") {
-            config.lint = LintMode::Strict;
-        } else {
-            errors.fail("option 'lint' must be \"off\", \"warn\" or "
-                        "\"strict\"");
-        }
-    } else if (name == "min_severity") {
-        if (!value.isString()) {
-            errors.fail("option 'min_severity' must be \"note\", "
-                        "\"warn\" or \"error\"");
-        } else if (value.stringValue == "note") {
-            config.lintOptions.minSeverity = LintSeverity::Note;
-        } else if (value.stringValue == "warn") {
-            config.lintOptions.minSeverity = LintSeverity::Warn;
-        } else if (value.stringValue == "error") {
-            config.lintOptions.minSeverity = LintSeverity::Error;
-        } else {
-            errors.fail("option 'min_severity' must be \"note\", "
-                        "\"warn\" or \"error\"");
-        }
-    } else if (name == "threads") {
-        // Worker width inside one request; never part of the cache
-        // key (results are bit-identical at every width).
-        if (readInt(value, name, 0, 1024, integer, errors))
-            config.threads = static_cast<std::size_t>(integer);
-    } else if (name == "seed") {
-        if (readInt(value, name, 0, std::int64_t(1) << 62, integer,
-                    errors)) {
-            request.codegen.seed =
-                static_cast<std::uint64_t>(integer);
-            request.tune.seed = static_cast<std::uint64_t>(integer);
-        }
-    } else if (name == "tune_measure") {
-        if (!value.isString()) {
-            errors.fail("option 'tune_measure' must be \"model\" or "
-                        "\"wall\"");
-        } else if (value.stringValue == "model") {
-            request.tune.measure = MeasureMode::Model;
-        } else if (value.stringValue == "wall") {
-            request.tune.measure = MeasureMode::Wall;
-        } else {
-            errors.fail("option 'tune_measure' must be \"model\" or "
-                        "\"wall\"");
-        }
-    } else if (name == "tune_budget_ms") {
-        if (readInt(value, name, 0, std::int64_t(1) << 40, integer,
-                    errors))
-            request.tune.budgetMs = integer;
-    } else if (name == "tune_neighborhood") {
-        if (readInt(value, name, 0, 8, integer, errors))
-            request.tune.neighborhood = integer;
-    } else if (name == "tune_repeats") {
-        if (readInt(value, name, 1, 64, integer, errors))
-            request.tune.repeats = static_cast<int>(integer);
-    } else if (name == "tune_warmup") {
-        if (readInt(value, name, 0, 64, integer, errors))
-            request.tune.warmup = static_cast<int>(integer);
-    } else if (name == "emit_main") {
-        if (readBool(value, name, flag, errors))
-            request.codegen.emitMain = flag;
-    } else if (name == "params") {
-        if (!value.isObject()) {
-            errors.fail("option 'params' must be an object of "
-                        "integer parameter overrides");
-        } else {
-            for (const auto &[param_name, param_value] :
-                 value.members) {
-                std::int64_t bound = 0;
-                if (readInt(param_value, "params." + param_name,
-                            std::numeric_limits<std::int64_t>::min(),
-                            std::numeric_limits<std::int64_t>::max(),
-                            bound, errors))
-                    request.codegen.paramOverrides[param_name] = bound;
+/**
+ * Check a value against its table row and store it; json is null for
+ * CLI text. @return "" or the rejection message.
+ */
+std::string
+applyValue(const RequestOption &option, const JsonValue *json,
+           const std::string &text, ServiceRequest &request)
+{
+    OptionValue value;
+    switch (option.kind) {
+      case OptionKind::Bool:
+        if (json ? !json->isBool() : text != "true" && text != "false")
+            return mustBe(option.name, "a boolean");
+        value.flag = json ? json->boolValue : text == "true";
+        break;
+      case OptionKind::Int: {
+        std::optional<std::int64_t> integer = readInteger(json, text);
+        if (!integer || *integer < option.lo || *integer > option.hi)
+            return rangeError(option.name, option);
+        value.integer = *integer;
+        break;
+      }
+      case OptionKind::Number: {
+        JsonParseResult parsed;
+        if (!json && (parsed = parseJson(text)).ok())
+            json = &*parsed.value;
+        if (!json || !json->isNumber() || json->numberValue <= 0)
+            return mustBe(option.name, "a positive number");
+        value.number = json->numberValue;
+        break;
+      }
+      case OptionKind::Choice: {
+        const std::string *spelled =
+            !json ? &text : json->isString() ? &json->stringValue : nullptr;
+        auto chosen = std::find_if(
+            option.choices.begin(), option.choices.end(),
+            [&](const char *choice) { return spelled && *spelled == choice; });
+        if (chosen == option.choices.end()) {
+            std::string list;
+            for (std::size_t i = 0; i < option.choices.size(); ++i) {
+                list += concat(i == 0 ? ""
+                               : i + 1 < option.choices.size() ? ", "
+                                                               : " or ",
+                               "\"", option.choices[i], "\"");
             }
+            return mustBe(option.name, list);
         }
-    } else {
-        errors.fail("unknown option '" + name + "'");
+        value.integer = chosen - option.choices.begin();
+        break;
+      }
+      case OptionKind::Params: {
+        // The wire sends an object of bindings, a CLI one name=value.
+        std::size_t eq = text.find('=');
+        if (json && !json->isObject())
+            return mustBe(option.name,
+                          "an object of integer parameter overrides");
+        if (!json && (eq == std::string::npos || eq == 0))
+            return mustBe(option.name, "name=value");
+        std::vector<std::pair<std::string, std::optional<std::int64_t>>>
+            bindings;
+        if (json) {
+            for (const auto &[param, bound] : json->members)
+                bindings.emplace_back(param, bound.asInt());
+        } else {
+            bindings.emplace_back(text.substr(0, eq),
+                                  readInteger(nullptr, text.substr(eq + 1)));
+        }
+        for (const auto &[param, bound] : bindings) {
+            if (!bound)
+                return rangeError(concat(option.name, ".", param), option);
+            option.set(request, {false, *bound, 0, param});
+        }
+        return "";
+      }
     }
+    option.set(request, value);
+    return "";
+}
+
+std::string
+applyNamed(ServiceRequest &request, const std::string &name,
+           const JsonValue *json, const std::string &text)
+{
+    for (const RequestOption &option : requestOptions()) {
+        if (name == option.name)
+            return applyValue(option, json, text, request);
+    }
+    return "unknown option '" + name + "'";
 }
 
 } // namespace
+
+std::string
+applyRequestOption(ServiceRequest &request, const std::string &name,
+                   const JsonValue &value)
+{
+    return applyNamed(request, name, &value, "");
+}
+
+std::string
+applyRequestOption(ServiceRequest &request, const std::string &name,
+                   const std::string &text)
+{
+    return applyNamed(request, name, nullptr, text);
+}
 
 RequestParse
 parseRequest(const std::string &line)
@@ -276,59 +313,40 @@ parseRequest(const std::string &line)
                 RequestErrorKind::BadOp};
     }
 
-    FieldErrors errors;
+    std::string error; // the first problem wins
+    auto fail = [&error](const std::string &message) {
+        if (error.empty())
+            error = message;
+    };
     std::string scenario_name;
     for (const auto &[name, value] : root.members) {
-        if (name == "op")
+        std::string *text = name == "id"         ? &request.id
+                            : name == "source"   ? &request.source
+                            : name == "scenario" ? &scenario_name
+                            : name == "machine"  ? &request.machineName
+                                                 : nullptr;
+        if (name == "op") {
             continue;
-        if (name == "id") {
-            if (!value.isString()) {
-                errors.fail("field 'id' must be a string");
-                continue;
-            }
-            request.id = value.stringValue;
-        } else if (name == "source") {
-            if (!value.isString()) {
-                errors.fail("field 'source' must be a string");
-                continue;
-            }
-            request.source = value.stringValue;
-        } else if (name == "scenario") {
-            if (!value.isString()) {
-                errors.fail("field 'scenario' must be a string");
-                continue;
-            }
-            scenario_name = value.stringValue;
-        } else if (name == "machine") {
-            if (!value.isString()) {
-                errors.fail("field 'machine' must be a string");
-                continue;
-            }
-            request.machineName = value.stringValue;
+        } else if (text) {
+            if (value.isString())
+                *text = value.stringValue;
+            else
+                fail("field '" + name + "' must be a string");
         } else if (name == "options") {
-            if (!value.isObject()) {
-                errors.fail("field 'options' must be an object");
-                continue;
-            }
+            if (!value.isObject())
+                fail("field 'options' must be an object");
             for (const auto &[opt_name, opt_value] : value.members)
-                applyOption(opt_name, opt_value, request, errors);
+                fail(applyRequestOption(request, opt_name, opt_value));
         } else if (name == "deadline_ms") {
-            std::int64_t ms = 0;
-            if (readInt(value, "deadline_ms", 0,
-                        std::int64_t(1) << 40, ms, errors))
-                request.deadlineMs = ms;
+            fail(applyValue(kDeadlineField, &value, "", request));
         } else if (name == "no_cache") {
-            bool flag = false;
-            if (readBool(value, "no_cache", flag, errors))
-                request.noCache = flag;
+            fail(applyValue(kNoCacheField, &value, "", request));
         } else {
-            errors.fail("unknown field '" + name + "'");
+            fail("unknown field '" + name + "'");
         }
     }
-    if (!errors.ok()) {
-        return {std::nullopt, errors.message,
-                RequestErrorKind::BadField};
-    }
+    if (!error.empty())
+        return {std::nullopt, error, RequestErrorKind::BadField};
 
     std::optional<MachineModel> machine =
         machinePreset(request.machineName);

@@ -21,22 +21,17 @@
  *    "deadline_ms": N,   // budget from receipt; 0 = already expired
  *    "no_cache": true}                         (optional)
  *
- * Options: max_unroll, max_loops, use_cache_model, limit_registers,
- * localized_trip, fuse, normalize, distribute, interchange,
- * scalar_replace, prefetch, prefetch_distance, validate, oracle,
- * lint ("off"/"warn"/"strict"), min_severity ("note"/"warn"/"error"),
- * threads. The "codegen" op additionally honours seed (the default
- * run seed baked into the generated main()), emit_main (emit a
- * main(); default true) and params (an object of parameter-name to
- * integer overrides bound at emission). The "tune" op honours seed
- * plus tune_measure ("model", the default -- deterministic simulator
- * cycles -- or "wall", host compile-and-run), tune_budget_ms,
- * tune_neighborhood, tune_repeats and tune_warmup; tune responses in
- * "model" mode are pure functions of the request and cache like any
- * other, while a "wall" run that self-skips (no host compiler) is
- * answered but never cached. Unknown option names are an error (they
- * would otherwise silently change the cache key semantics a client
- * expects).
+ * Options: the option table (requestOptions() below) lists every
+ * name with its value type, its range or choices and the request
+ * fields it sets. Pipeline knobs apply to every op; "codegen"
+ * additionally honours seed, emit_main and params, and "tune" honours
+ * seed and the tune_* knobs. The service's tune_measure default is
+ * "model" -- deterministic simulator cycles -- where the CLI's is
+ * "wall"; tune responses in "model" mode are pure functions of the
+ * request and cache like any other, while a "wall" run that
+ * self-skips (no host compiler) is answered but never cached. Unknown
+ * option names are an error (they would otherwise silently change the
+ * cache key semantics a client expects).
  *
  * Response:
  *
@@ -60,6 +55,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "codegen/c_emitter.hh"
 #include "driver/driver.hh"
@@ -68,6 +64,8 @@
 
 namespace ujam
 {
+
+struct JsonValue;
 
 /** Request operations. */
 enum class ServiceOp
@@ -141,6 +139,59 @@ struct RequestParse
  * @param line One NDJSON frame without the trailing newline.
  */
 RequestParse parseRequest(const std::string &line);
+
+/** How an option's value is spelled. */
+enum class OptionKind
+{
+    Bool,   //!< true or false
+    Int,    //!< an integer in [lo, hi]
+    Number, //!< a positive number
+    Choice, //!< one of a fixed list of strings
+    Params  //!< parameter-name -> integer bindings
+};
+
+/** A checked option value, as a table row's setter receives it. */
+struct OptionValue
+{
+    bool flag = false;        //!< Bool
+    std::int64_t integer = 0; //!< Int, Params, or the Choice index
+    double number = 0;        //!< Number
+    std::string param;        //!< Params: the bound parameter's name
+};
+
+/**
+ * One wire option: its name, value type, accepted values and the
+ * request fields it sets. The table of these is the one definition of
+ * every knob the service and the CLIs share.
+ */
+struct RequestOption
+{
+    const char *name;
+    OptionKind kind;
+    std::int64_t lo = 0; //!< Int and Params: smallest accepted value
+    std::int64_t hi = 0; //!< Int and Params: largest accepted value
+    std::vector<const char *> choices; //!< Choice: accepted spellings
+    void (*set)(ServiceRequest &request, const OptionValue &value);
+};
+
+/** @return Every wire option, in documentation order. */
+const std::vector<RequestOption> &requestOptions();
+
+/**
+ * Apply one option to a request: the one entry point for the wire's
+ * JSON values (parseRequest) and for the CLIs' flag text. Text must
+ * parse as a whole: "true" or "false", a decimal integer, a JSON
+ * number, one of the choices, or one "name=value" parameter binding.
+ *
+ * @return "" once applied; otherwise the service's message for that
+ *         option and value.
+ */
+std::string applyRequestOption(ServiceRequest &request,
+                               const std::string &name,
+                               const JsonValue &value);
+std::string applyRequestOption(ServiceRequest &request,
+                               const std::string &name,
+                               const std::string &text);
 
 /** @return A one-line error response frame. */
 std::string errorResponse(const std::string &id, const std::string &op,

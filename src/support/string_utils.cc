@@ -1,7 +1,9 @@
 #include "support/string_utils.hh"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 
 namespace ujam
 {
@@ -70,6 +72,39 @@ padRight(const std::string &s, std::size_t width)
     if (s.size() >= width)
         return s;
     return s + std::string(width - s.size(), ' ');
+}
+
+bool
+parseInt64(const std::string &text, std::int64_t &value)
+{
+    // strtoll alone would skip leading blanks and take a '+'.
+    if (text.empty() ||
+        !(std::isdigit(static_cast<unsigned char>(text[0])) ||
+          text[0] == '-'))
+        return false;
+    errno = 0;
+    char *end = nullptr;
+    long long parsed = std::strtoll(text.c_str(), &end, 10);
+    if (errno != 0 || end != text.c_str() + text.size())
+        return false;
+    value = parsed;
+    return true;
+}
+
+bool
+parseUint64(const std::string &text, std::uint64_t &value)
+{
+    // strtoull would also wrap a '-' after leading blanks to a huge
+    // value.
+    if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])))
+        return false;
+    errno = 0;
+    char *end = nullptr;
+    unsigned long long parsed = std::strtoull(text.c_str(), &end, 10);
+    if (errno != 0 || end != text.c_str() + text.size())
+        return false;
+    value = parsed;
+    return true;
 }
 
 } // namespace ujam

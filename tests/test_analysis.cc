@@ -788,11 +788,15 @@ TEST(LintRender, JsonEscapesAndCounts)
     diag.message = "line1\nline2\t\"quoted\"";
     result.diagnostics.push_back(diag);
 
-    std::string json = renderJson(result);
+    std::string json = lintResultJson(result);
     EXPECT_NE(json.find("we\\\"ird\\\\name.uj"), std::string::npos);
     EXPECT_NE(json.find("line1\\nline2\\t\\\"quoted\\\""),
               std::string::npos);
     EXPECT_NE(json.find("\"errors\": 1"), std::string::npos);
+    // The service's schema: counts before the findings.
+    EXPECT_EQ(json.rfind("{\"lint\": {", 0), 0u);
+    EXPECT_LT(json.find("\"errors\""), json.find("\"diagnostics\""));
+    EXPECT_NE(json.find("\"nest_index\": 0"), std::string::npos);
     // Unknown location: no line/col keys at all.
     EXPECT_EQ(json.find("\"line\""), std::string::npos);
 }

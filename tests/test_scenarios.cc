@@ -211,15 +211,32 @@ TEST(ScenarioTruth, SampledGridsConformToTheAnalyses)
 
 TEST(CorpusHook, OneNameSpaceOverBothCorpora)
 {
-    Program suite = loadCorpusProgram("dmxpy0");
-    EXPECT_EQ(suite.nests().size(), 1u);
+    LoadedProgram suite = loadProgramInput("dmxpy0", true, true);
+    EXPECT_EQ(suite.program.nests().size(), 1u);
+    EXPECT_EQ(suite.source, suiteLoop("dmxpy0").source);
+    EXPECT_EQ(suite.program.sourceName(), "<input>");
+    EXPECT_EQ(loadProgramInput("dmxpy0", true, false).program.sourceName(),
+              "suite:dmxpy0");
 
-    Program scenario = loadCorpusProgram("matmul:n=8,m=8:0");
-    EXPECT_EQ(scenario.sourceName(),
+    LoadedProgram scenario =
+        loadProgramInput("matmul:n=8,m=8:0", true, true);
+    EXPECT_EQ(scenario.name, "matmul:n=8,m=8:0");
+    EXPECT_EQ(scenario.program.sourceName(),
               "scenario:matmul:n=8,m=8,order=0:0");
 
-    EXPECT_THROW(loadCorpusProgram("nosuchloop"), FatalError);
-    EXPECT_THROW(loadCorpusProgram("nosuch:n=8:0"), FatalError);
+    EXPECT_THROW(loadProgramInput("nosuchloop", true, true), FatalError);
+    EXPECT_THROW(loadProgramInput("nosuch:n=8:0", true, true),
+                 FatalError);
+    EXPECT_THROW(loadProgramInput("no/such/file.uj", false, false),
+                 FatalError);
+
+    // A file that parses but fails validation: the pipeline CLIs
+    // reject it, the linter loads it as is.
+    std::string invalid = std::string(UJAM_TEST_GOLDEN_DIR) + "/golden.uj";
+    EXPECT_THROW(loadProgramInput(invalid, false, true), FatalError);
+    LoadedProgram as_is = loadProgramInput(invalid, false, false);
+    EXPECT_EQ(as_is.program.sourceName(), invalid);
+    EXPECT_FALSE(as_is.source.empty());
 
     std::string list = renderCorpusList();
     EXPECT_NE(list.find("dmxpy0"), std::string::npos);

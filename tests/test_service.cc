@@ -15,15 +15,18 @@
 #include <fcntl.h>
 #include <sys/socket.h>
 #include <sys/time.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <thread>
 
@@ -176,6 +179,56 @@ TEST(ServiceCache, KeyChangesWithEverySemanticInput)
               std::string::npos);
 }
 
+TEST(ServiceCache, EveryOptionReachesTheKey)
+{
+    // Requests that differ only in one wire option must hash apart --
+    // an option added to the table without a line in the key text
+    // would serve stale results -- except threads, which must not.
+    Program program = sourceProgram();
+    auto key_with = [&](const std::string &name,
+                        const std::string &value_json) {
+        RequestParse parsed = parseRequest(requestLine(
+            "optimize", "", kSource,
+            "{\"" + name + "\": " + value_json + "}"));
+        EXPECT_TRUE(parsed.ok()) << name << ": " << parsed.error;
+        if (!parsed.ok())
+            return std::string();
+        const ServiceRequest &r = *parsed.request;
+        return computeCacheKey("optimize", program, r.machine, r.config,
+                               r.codegen, r.tune);
+    };
+
+    for (const RequestOption &option : requestOptions()) {
+        std::vector<std::string> values;
+        switch (option.kind) {
+          case OptionKind::Bool:
+            values = {"false", "true"};
+            break;
+          case OptionKind::Int:
+            values = {std::to_string(option.lo),
+                      std::to_string(option.hi)};
+            break;
+          case OptionKind::Number:
+            values = {"1", "2.5"};
+            break;
+          case OptionKind::Choice:
+            for (const char *choice : option.choices)
+                values.push_back(concat("\"", choice, "\""));
+            break;
+          case OptionKind::Params:
+            values = {"{}", "{\"n\": 5}"};
+            break;
+        }
+        std::set<std::string> keys;
+        for (const std::string &value : values)
+            keys.insert(key_with(option.name, value));
+        if (std::string(option.name) == "threads")
+            EXPECT_EQ(keys.size(), 1u) << option.name;
+        else
+            EXPECT_EQ(keys.size(), values.size()) << option.name;
+    }
+}
+
 TEST(ServiceCache, ThreadCountExcluded)
 {
     Program program = sourceProgram();
@@ -303,6 +356,58 @@ TEST(ServiceProtocol, AcceptsTheDocumentedOptions)
     EXPECT_EQ(request.config.prefetchConfig.distanceIters, 4);
     EXPECT_TRUE(request.config.safety.oracle);
     EXPECT_EQ(request.config.threads, 3u);
+}
+
+TEST(ServiceProtocol, FlagTextMatchesTheWire)
+{
+    // The CLIs hand flag text to the same entry point the wire uses:
+    // equal values set equal requests, and a bad value gets the
+    // service's message, whichever way it arrives.
+    struct Case
+    {
+        const char *name;
+        const char *json;
+        const char *text;
+    };
+    const Case cases[] = {
+        {"max_unroll", "6", "6"},
+        {"max_unroll", "0", "0"},
+        {"max_unroll", "\"6\"", "abc"},
+        {"max_unroll", "6.5", "6x"},
+        {"fuse", "true", "true"},
+        {"fuse", "1", "yes"},
+        {"localized_trip", "2.5", "2.5"},
+        {"localized_trip", "-1", "-1"},
+        {"lint", "\"strict\"", "strict"},
+        {"lint", "\"loud\"", "loud"},
+        {"tune_measure", "\"wall\"", "wall"},
+        {"seed", "7", "7"},
+        {"seed", "-1", "-1"},
+        {"params", "{\"n\": -3}", "n=-3"},
+        {"params", "{\"n\": \"x\"}", "n=x"},
+        {"frobnicate", "1", "1"},
+    };
+    Program program = sourceProgram();
+    auto key = [&](const ServiceRequest &r) {
+        return computeCacheKey("optimize", program, {}, r.config,
+                               r.codegen, r.tune);
+    };
+    for (const Case &c : cases) {
+        JsonParseResult json = parseJson(c.json);
+        ASSERT_TRUE(json.ok()) << c.json;
+        ServiceRequest from_json;
+        ServiceRequest from_text;
+        std::string json_error =
+            applyRequestOption(from_json, c.name, *json.value);
+        std::string text_error =
+            applyRequestOption(from_text, c.name, std::string(c.text));
+        EXPECT_EQ(json_error, text_error) << c.name << " " << c.text;
+        EXPECT_EQ(key(from_json), key(from_text))
+            << c.name << " " << c.text;
+    }
+    ServiceRequest request;
+    EXPECT_EQ(applyRequestOption(request, "params", std::string("n")),
+              "option 'params' must be name=value");
 }
 
 // --- batch mode -----------------------------------------------------
@@ -501,6 +606,45 @@ TEST(ServiceFuzz, BatchParserSurvivesMalformedFrames)
 }
 
 // --- socket mode (the TSan smoke) -----------------------------------
+
+// --- the ujam-serve command line -------------------------------------
+
+/** Run the real ujam-serve on empty stdin; @return exit status. */
+int
+runServe(const std::string &flags, std::string &output)
+{
+    std::string command =
+        concat(UJAM_SERVE_BIN, " ", flags, " < /dev/null 2>&1");
+    FILE *pipe = ::popen(command.c_str(), "r");
+    if (!pipe)
+        return -1;
+    char buffer[256];
+    output.clear();
+    while (std::fgets(buffer, sizeof(buffer), pipe))
+        output += buffer;
+    int status = ::pclose(pipe);
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(ServiceCli, BadNumbersAreUsageErrors)
+{
+    // Numeric flags are read whole and non-negative: strtoul once
+    // turned --threads -1 into ULONG_MAX (threads were created until
+    // std::system_error aborted the server) and --workers abc into a
+    // silent single process.
+    std::string output;
+    for (const char *flags : {"--batch --threads -1",
+                              "--batch --workers abc",
+                              "--batch --cache-mem 12x",
+                              "--batch --deadline-ms -5"}) {
+        EXPECT_EQ(runServe(flags, output), 2) << flags;
+        EXPECT_NE(output.find("usage: ujam-serve"), std::string::npos)
+            << flags;
+    }
+    EXPECT_EQ(runServe("--batch --threads 2 --deadline-ms 500", output),
+              0)
+        << output;
+}
 
 TEST(ServiceSocket, ConcurrentClientsDeadlinesAndShutdown)
 {

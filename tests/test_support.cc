@@ -251,5 +251,32 @@ TEST(StringUtils, FormatFixed)
     EXPECT_EQ(formatFixed(2.0, 3), "2.000");
 }
 
+TEST(StringUtils, StrictIntegers)
+{
+    std::int64_t value = 7;
+    EXPECT_TRUE(parseInt64("-42", value));
+    EXPECT_EQ(value, -42);
+    for (const char *bad : {"", "abc", "4x", " 4", "+4", "-",
+                            "99999999999999999999"}) {
+        EXPECT_FALSE(parseInt64(bad, value)) << bad;
+        EXPECT_EQ(value, -42) << bad;
+    }
+
+    // strtoull alone would read " -1" as 2^64 - 1.
+    std::uint64_t wide = 0;
+    EXPECT_TRUE(parseUint64("18446744073709551615", wide));
+    EXPECT_FALSE(parseUint64("-1", wide));
+    EXPECT_FALSE(parseUint64(" -1", wide));
+
+    // parseCount: non-negative and fits the field.
+    int narrow = 5;
+    EXPECT_TRUE(parseCount("2147483647", narrow));
+    EXPECT_EQ(narrow, 2147483647);
+    EXPECT_FALSE(parseCount("2147483648", narrow));
+    std::int64_t signed_field = 0;
+    EXPECT_FALSE(parseCount("-5", signed_field));
+    EXPECT_TRUE(parseCount("0", signed_field));
+}
+
 } // namespace
 } // namespace ujam
