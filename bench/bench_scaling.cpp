@@ -63,7 +63,7 @@ wholeSuiteProgram()
 int
 main()
 {
-    const std::size_t hw = ThreadPool::defaultThreads();
+    const std::size_t hw = defaultThreads();
     std::vector<std::size_t> widths = {1, 2, 4, hw};
     std::sort(widths.begin(), widths.end());
     widths.erase(std::unique(widths.begin(), widths.end()),

@@ -40,7 +40,7 @@ printTable1()
 
     std::printf("\n=== Table 1: Percentage of Input Dependences ===\n\n");
     std::printf("(census analyzed with %zu threads)\n",
-                ThreadPool::defaultThreads());
+                defaultThreads());
     std::printf("%-12s %s\n", "Range", "Number of Routines");
     for (std::size_t b = 0; b < stats.histogram.size(); ++b) {
         std::printf("%-12s %zu\n", corpusBucketLabels()[b].c_str(),

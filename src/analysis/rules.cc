@@ -761,8 +761,6 @@ class RegisterPressureRule : public Rule
             return;
         OptimizerConfig config;
         config.maxUnroll = ctx.options().maxUnroll;
-        config.threads = 1; // lint stays single-threaded per nest
-
         config.limitRegisters = false;
         UnrollDecision unlimited =
             chooseUnrollAmounts(nest, ctx.machine(), config);

@@ -138,8 +138,8 @@ struct PipelineConfig
     LintMode lint = LintMode::Off; //!< static analysis before stages
     LintOptions lintOptions;     //!< analyzer knobs when lint != Off
     /**
-     * Worker threads for the per-nest fan-out: 0 = one per core
-     * (the shared pool), 1 = serial. Nests are optimized into
+     * Worker threads for the per-nest fan-out: 0 = defaultThreads()
+     * (one per core), 1 = serial. Nests are optimized into
      * index-addressed slots and merged in input order, so the result
      * is bit-identical for every thread count.
      */

@@ -27,15 +27,6 @@ allIntegral(const RatVector &v)
     return true;
 }
 
-IntVector
-toIntVector(const RatVector &v)
-{
-    IntVector result(v.size());
-    for (std::size_t i = 0; i < v.size(); ++i)
-        result[i] = v[i].toInteger();
-    return result;
-}
-
 RatMatrix::RatMatrix(std::size_t rows, std::size_t cols)
     : rows_(rows), cols_(cols), data_(rows * cols)
 {}

@@ -31,9 +31,6 @@ RatVector toRatVector(const IntVector &v);
 /** @return True iff every component of v is an integer. */
 bool allIntegral(const RatVector &v);
 
-/** @return v rounded; @pre allIntegral(v). */
-IntVector toIntVector(const RatVector &v);
-
 /**
  * A dense rows x cols matrix of Rational entries.
  */

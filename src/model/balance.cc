@@ -29,11 +29,4 @@ loopBalance(const BalanceInputs &in, const MachineModel &machine)
     return result;
 }
 
-double
-estimatedBodyCycles(const BalanceInputs &in, const MachineModel &machine)
-{
-    BalanceResult result = loopBalance(in, machine);
-    return result.cycles + result.missCycles;
-}
-
 } // namespace ujam

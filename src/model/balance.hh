@@ -52,13 +52,6 @@ struct BalanceResult
 BalanceResult loopBalance(const BalanceInputs &in,
                           const MachineModel &machine);
 
-/**
- * @return Estimated execution cycles for the body: the steady-state
- * issue-limited cycles plus unhidden miss stalls.
- */
-double estimatedBodyCycles(const BalanceInputs &in,
-                           const MachineModel &machine);
-
 } // namespace ujam
 
 #endif // UJAM_MODEL_BALANCE_HH

@@ -85,26 +85,6 @@ partitionByRelation(const UniformlyGeneratedSet &ugs,
 
 } // namespace
 
-bool
-groupTemporalRelated(const RatMatrix &subscript, const IntVector &delta,
-                     const Subspace &localized)
-{
-    return solvableInSpace(subscript, toRatVector(delta), localized);
-}
-
-bool
-groupSpatialRelated(const RatMatrix &subscript, const IntVector &delta,
-                    const Subspace &localized)
-{
-    RatMatrix spatial = subscript;
-    for (std::size_t k = 0; k < spatial.cols(); ++k)
-        spatial.at(0, k) = Rational(0);
-    RatVector rhs = toRatVector(delta);
-    if (!rhs.empty())
-        rhs[0] = Rational(0);
-    return solvableInSpace(spatial, rhs, localized);
-}
-
 std::vector<ReuseGroup>
 groupTemporalSets(const UniformlyGeneratedSet &ugs,
                   const Subspace &localized)

@@ -24,25 +24,6 @@ struct ReuseGroup
     std::size_t leader = 0;           //!< lex-smallest offset member
 };
 
-/**
- * True iff two offsets of the same UGS are group-temporal related.
- *
- * @param subscript  The common H.
- * @param delta      c2 - c1.
- * @param localized  The localized iteration space.
- */
-bool groupTemporalRelated(const RatMatrix &subscript,
-                          const IntVector &delta,
-                          const Subspace &localized);
-
-/**
- * True iff two offsets are group-spatial related (H with its first
- * row zeroed and delta with its first component ignored).
- */
-bool groupSpatialRelated(const RatMatrix &subscript,
-                         const IntVector &delta,
-                         const Subspace &localized);
-
 /** Partition a UGS into group-temporal sets (GTSs). */
 std::vector<ReuseGroup> groupTemporalSets(const UniformlyGeneratedSet &ugs,
                                           const Subspace &localized);

@@ -87,11 +87,6 @@ requestOptions()
                  LintSeverity::Note, LintSeverity::Warn, LintSeverity::Error};
              r.config.lintOptions.minSeverity = levels[v.integer];
          }},
-        // Worker width inside one request; never part of the cache
-        // key (results are bit-identical at every width).
-        {"threads", K::Int, 0, 1024, {}, [](R &r, const V &v) {
-             r.config.threads = std::size_t(v.integer);
-         }},
         {"seed", K::Int, 0, std::int64_t(1) << 62, {}, [](R &r, const V &v) {
              r.codegen.seed = r.tune.seed = std::uint64_t(v.integer);
          }},
@@ -282,10 +277,6 @@ parseRequest(const std::string &line)
     }
 
     ServiceRequest request;
-    // Requests come from independent clients: run each one's nest
-    // fan-out serially by default and let the server parallelize
-    // across requests instead.
-    request.config.threads = 1;
     // Service default: deterministic, compiler-free measurement.
     request.tune.measure = MeasureMode::Model;
 

@@ -134,7 +134,7 @@ UjamServer::UjamServer(ServerConfig config)
           config_.workerIndex))
 {
     if (config_.threads == 0)
-        config_.threads = ThreadPool::defaultThreads();
+        config_.threads = defaultThreads();
     if (config_.queueLimit == 0)
         config_.queueLimit = 1;
 }
@@ -218,10 +218,8 @@ UjamServer::runOptimize(const ServiceRequest &request,
     applyWorkerFaults(serial);
     PipelineConfig config = request.config;
     // The server parallelizes across requests; one request's nest
-    // fan-out stays serial so the shared pool is never entered
-    // reentrantly from a worker thread.
+    // fan-out stays serial so requests never oversubscribe the host.
     config.threads = 1;
-    config.optimizer.threads = 1;
 
     // Environment-injected fault specs change pipeline behavior, so
     // they must be part of the cache key; resolving them here keeps
@@ -524,32 +522,12 @@ UjamServer::runBatch(std::istream &in, std::ostream &out)
             lines.push_back(line);
     }
 
+    // Index-addressed slots: output order is input order at every
+    // width.
     std::vector<std::string> responses(lines.size());
-    std::size_t width = std::min(config_.threads, lines.size());
-    if (width <= 1) {
-        for (std::size_t i = 0; i < lines.size(); ++i)
-            responses[i] = processLine(lines[i]);
-    } else {
-        // A private worker group (not the shared pool: requests may
-        // reach it through optimizeProgram) filling index-addressed
-        // slots; output order is input order at every width.
-        std::atomic<std::size_t> next{0};
-        auto work = [&] {
-            while (true) {
-                std::size_t i =
-                    next.fetch_add(1, std::memory_order_relaxed);
-                if (i >= lines.size())
-                    break;
-                responses[i] = processLine(lines[i]);
-            }
-        };
-        std::vector<std::thread> workers;
-        workers.reserve(width);
-        for (std::size_t w = 0; w < width; ++w)
-            workers.emplace_back(work);
-        for (std::thread &worker : workers)
-            worker.join();
-    }
+    parallelFor(lines.size(), config_.threads, [&](std::size_t i) {
+        responses[i] = processLine(lines[i]);
+    });
 
     for (const std::string &response : responses)
         out << response << "\n";

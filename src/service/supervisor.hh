@@ -43,7 +43,7 @@
  * The supervisor itself stays single-threaded until it stops forking
  * (signals are consumed by sigtimedwait, never by handlers), so fork
  * never duplicates a lock-holding thread; the degraded server's
- * thread pool starts only after the last fork.
+ * worker threads start only after the last fork.
  */
 
 #ifndef UJAM_SERVICE_SUPERVISOR_HH

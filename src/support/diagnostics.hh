@@ -4,8 +4,7 @@
  *
  * Follows the gem5 convention: panic() for internal invariant
  * violations (bugs in ujam itself), fatal() for user-level errors
- * (malformed input programs, invalid parameters), warn()/inform()
- * for non-fatal status reporting.
+ * (malformed input programs, invalid parameters).
  */
 
 #ifndef UJAM_SUPPORT_DIAGNOSTICS_HH
@@ -88,31 +87,6 @@ panic(const Args &...args)
 {
     throw PanicError(concat("panic: ", args...));
 }
-
-/** Emit a non-fatal warning to stderr. */
-void warnMessage(const std::string &msg);
-
-/** Emit an informational message to stderr. */
-void informMessage(const std::string &msg);
-
-/** Emit a non-fatal warning built from streamable parts. */
-template <typename... Args>
-void
-warn(const Args &...args)
-{
-    warnMessage(concat(args...));
-}
-
-/** Emit an informational message built from streamable parts. */
-template <typename... Args>
-void
-inform(const Args &...args)
-{
-    informMessage(concat(args...));
-}
-
-/** Suppress or restore warn()/inform() output (used by tests). */
-void setDiagnosticsQuiet(bool quiet);
 
 } // namespace ujam
 

@@ -44,12 +44,11 @@ processKindFor(const std::string &name)
 std::uint64_t
 parseOrdinalNumber(const std::string &text, const std::string &spec)
 {
-    if (text.empty() ||
-        text.find_first_not_of("0123456789") != std::string::npos) {
+    std::uint64_t value = 0;
+    if (!parseUint64(text, value)) {
         fatal("fault spec '", spec,
               "': ordinal must be a positive integer or '*'");
     }
-    std::uint64_t value = std::stoull(text);
     if (value == 0)
         fatal("fault spec '", spec, "': ordinals are 1-based");
     return value;
@@ -72,12 +71,12 @@ parseOneProcessSpec(ProcessFaultKind kind, const std::string &text)
     }
     if (parts.size() == 3) {
         std::string arg = trim(parts[2]);
-        if (arg.empty() ||
-            arg.find_first_not_of("0123456789") != std::string::npos) {
+        std::int64_t value = 0;
+        if (!parseCount(arg, value)) {
             fatal("fault spec '", text,
                   "': arg must be a non-negative integer");
         }
-        spec.arg = static_cast<std::int64_t>(std::stoll(arg));
+        spec.arg = value;
     }
     return spec;
 }
@@ -115,11 +114,10 @@ parseOneSpec(const std::string &text)
         fatal("fault spec '", text, "': unknown stage '", spec.stage, "'");
     std::string nest = trim(parts[1]);
     if (nest != "*") {
-        if (nest.empty() ||
-            nest.find_first_not_of("0123456789") != std::string::npos) {
+        std::size_t index = 0;
+        if (!parseCount(nest, index))
             fatal("fault spec '", text, "': nest must be an index or '*'");
-        }
-        spec.nest = static_cast<std::size_t>(std::stoull(nest));
+        spec.nest = index;
     }
     spec.kind = parseKind(trim(parts[2]));
     return spec;

@@ -30,7 +30,7 @@
  *
  * This module only parses and matches specs; the driver owns the
  * actual corruption (it knows the IR). Matching is read-only and
- * therefore race-free under the pipeline's thread pool.
+ * therefore race-free under the pipeline's parallelFor.
  *
  * Process-level faults
  * --------------------

@@ -41,15 +41,6 @@ checkedAdd(std::int64_t a, std::int64_t b)
     return result;
 }
 
-std::int64_t
-lcm64(std::int64_t a, std::int64_t b)
-{
-    if (a == 0 || b == 0)
-        return 0;
-    std::int64_t g = gcd64(a, b);
-    return checkedMul(a < 0 ? -a : a, (b < 0 ? -b : b) / g);
-}
-
 Rational::Rational(std::int64_t num, std::int64_t den)
     : num_(num), den_(den)
 {

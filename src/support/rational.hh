@@ -100,9 +100,6 @@ std::ostream &operator<<(std::ostream &os, const Rational &value);
 /** @return gcd(|a|, |b|); gcd(0, 0) == 0. */
 std::int64_t gcd64(std::int64_t a, std::int64_t b);
 
-/** @return lcm(|a|, |b|); overflow-checked. */
-std::int64_t lcm64(std::int64_t a, std::int64_t b);
-
 /** Multiply with overflow check. */
 std::int64_t checkedMul(std::int64_t a, std::int64_t b);
 

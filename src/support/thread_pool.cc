@@ -1,7 +1,15 @@
 #include "support/thread_pool.hh"
 
+#include <algorithm>
 #include <cstdlib>
+#include <exception>
 #include <limits>
+#include <mutex>
+#include <system_error>
+#include <thread>
+#include <vector>
+
+#include "support/string_utils.hh"
 
 namespace ujam
 {
@@ -10,178 +18,39 @@ namespace
 {
 
 /**
- * Set while a pool worker (or a scoped parallelFor worker) runs a
- * body. Nested parallel requests then run inline: the fan-outs are
- * coarse enough that one level of parallelism saturates the machine,
- * and inlining avoids clobbering the pool's single job slot.
+ * Set while a thread runs a parallelFor body. Nested parallel
+ * requests then run inline: the fan-outs are coarse enough that one
+ * level of parallelism saturates the machine, and inlining avoids
+ * oversubscribing it.
  */
 thread_local bool g_inside_parallel_body = false;
 
-void
-runInline(std::size_t n, const std::function<void(std::size_t)> &body)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        body(i);
-}
-
 } // namespace
 
-ThreadPool::ThreadPool(std::size_t threads)
-{
-    size_ = threads == 0 ? defaultThreads() : threads;
-    if (size_ < 1)
-        size_ = 1;
-    // The caller participates in every job, so size_ == 1 needs no
-    // workers at all.
-    for (std::size_t t = 0; t + 1 < size_; ++t)
-        workers_.emplace_back([this] { workerLoop(); });
-}
-
-ThreadPool::~ThreadPool()
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        stop_ = true;
-    }
-    wake_.notify_all();
-    for (std::thread &worker : workers_)
-        worker.join();
-}
-
 std::size_t
-ThreadPool::defaultThreads()
+defaultThreads()
 {
-    if (const char *env = std::getenv("UJAM_THREADS")) {
-        long v = std::strtol(env, nullptr, 10);
-        if (v > 0)
-            return static_cast<std::size_t>(v);
-    }
+    const char *env = std::getenv("UJAM_THREADS");
+    std::size_t threads = 0;
+    if (env && parseCount(env, threads) && threads > 0)
+        return threads;
     unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : static_cast<std::size_t>(hw);
-}
-
-ThreadPool &
-ThreadPool::shared()
-{
-    static ThreadPool pool(0);
-    return pool;
-}
-
-void
-ThreadPool::workerLoop()
-{
-    std::uint64_t seen = 0;
-    for (;;) {
-        std::unique_lock<std::mutex> lock(mutex_);
-        wake_.wait(lock, [&] {
-            return stop_ ||
-                   (body_ != nullptr && generation_ != seen &&
-                    next_ < total_);
-        });
-        if (stop_)
-            return;
-        seen = generation_;
-        const std::function<void(std::size_t)> &body = *body_;
-        lock.unlock();
-        g_inside_parallel_body = true;
-        runLoop(seen, body);
-        g_inside_parallel_body = false;
-    }
-}
-
-void
-ThreadPool::runLoop(std::uint64_t generation,
-                    const std::function<void(std::size_t)> &body)
-{
-    for (;;) {
-        std::size_t i;
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            // The generation check keeps a late-waking worker from
-            // claiming iterations (and running the stale body) of a
-            // job submitted after the one it was woken for.
-            if (generation_ != generation || next_ >= total_)
-                break;
-            i = next_++;
-            ++inflight_;
-        }
-        std::exception_ptr error;
-        try {
-            body(i);
-        } catch (...) {
-            error = std::current_exception();
-        }
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            --inflight_;
-            if (error && (!error_ || i < firstErrorIndex_)) {
-                error_ = error;
-                firstErrorIndex_ = i;
-                next_ = total_; // stop claiming further iterations
-            }
-            if (next_ >= total_ && inflight_ == 0)
-                done_.notify_all();
-        }
-    }
-}
-
-void
-ThreadPool::parallelFor(std::size_t n,
-                        const std::function<void(std::size_t)> &body)
-{
-    if (n == 0)
-        return;
-    if (size_ == 1 || n == 1 || g_inside_parallel_body) {
-        runInline(n, body);
-        return;
-    }
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        body_ = &body;
-        total_ = n;
-        next_ = 0;
-        inflight_ = 0;
-        error_ = nullptr;
-        firstErrorIndex_ = std::numeric_limits<std::size_t>::max();
-        ++generation_;
-    }
-    wake_.notify_all();
-    std::uint64_t generation;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        generation = generation_;
-    }
-    g_inside_parallel_body = true;
-    runLoop(generation, body);
-    g_inside_parallel_body = false;
-    std::unique_lock<std::mutex> lock(mutex_);
-    done_.wait(lock, [&] { return next_ >= total_ && inflight_ == 0; });
-    body_ = nullptr;
-    std::exception_ptr error = error_;
-    error_ = nullptr;
-    lock.unlock();
-    if (error)
-        std::rethrow_exception(error);
 }
 
 void
 parallelFor(std::size_t n, std::size_t threads,
             const std::function<void(std::size_t)> &body)
 {
-    if (n == 0)
-        return;
-    if (threads == 1 || n == 1 || g_inside_parallel_body) {
-        runInline(n, body);
-        return;
-    }
-    if (threads == 0) {
-        ThreadPool::shared().parallelFor(n, body);
+    std::size_t workers = 1;
+    if (n > 1 && threads != 1 && !g_inside_parallel_body)
+        workers = std::min(threads == 0 ? defaultThreads() : threads, n);
+    if (workers == 1) {
+        for (std::size_t i = 0; i < n; ++i)
+            body(i);
         return;
     }
-    // An explicit width different from the shared pool's: run the job
-    // on scoped threads so benchmarks can measure exact thread counts
-    // without reconfiguring the process-wide pool.
-    std::size_t workers = std::min(threads, n);
+
     std::mutex mutex;
     std::size_t next = 0;
     std::exception_ptr error;
@@ -204,15 +73,20 @@ parallelFor(std::size_t n, std::size_t threads,
                     error = std::current_exception();
                     first_error = i;
                 }
-                next = n;
+                next = n; // stop claiming further iterations
             }
         }
         g_inside_parallel_body = false;
     };
     std::vector<std::thread> helpers;
     helpers.reserve(workers - 1);
-    for (std::size_t t = 0; t + 1 < workers; ++t)
-        helpers.emplace_back(drain);
+    try {
+        for (std::size_t t = 0; t + 1 < workers; ++t)
+            helpers.emplace_back(drain);
+    } catch (const std::system_error &) {
+        // Out of threads: the ones that started (and the caller)
+        // still drain every index.
+    }
     drain();
     for (std::thread &helper : helpers)
         helper.join();

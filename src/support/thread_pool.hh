@@ -1,110 +1,49 @@
 /**
  * @file
- * A small reusable thread pool and a deterministic parallelFor.
+ * The one indexed parallel loop, parallelFor.
  *
  * The optimization pipeline has three embarrassingly parallel
  * fan-outs (per-nest optimization, per-candidate brute force,
- * per-routine corpus analysis). All of them follow the same
- * discipline: workers compute into index-addressed slots and the
- * caller reduces the slots in index order, so the parallel result is
- * bit-identical to the serial one regardless of scheduling.
+ * per-routine corpus analysis), and ujam-serve's batch mode fans out
+ * across request lines. All of them follow the same discipline:
+ * workers compute into index-addressed slots and the caller reduces
+ * the slots in index order, so the parallel result is bit-identical
+ * to the serial one regardless of scheduling.
  *
- * No external dependencies: plain std::thread + condition variables,
- * C++20. A body that throws stops the loop; the first exception (by
- * iteration index) is rethrown on the calling thread.
+ * No external dependencies: every call starts its own scoped
+ * std::threads and joins them before it returns, so concurrent
+ * callers share no state. A body that throws stops the loop; the
+ * first exception (by iteration index) is rethrown on the calling
+ * thread.
  */
 
 #ifndef UJAM_SUPPORT_THREAD_POOL_HH
 #define UJAM_SUPPORT_THREAD_POOL_HH
 
-#include <condition_variable>
 #include <cstddef>
-#include <cstdint>
-#include <exception>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace ujam
 {
 
 /**
- * A fixed-size pool of worker threads executing indexed loop bodies.
- *
- * Workers sleep between calls; parallelFor wakes them, hands out
- * iteration indices through an atomic counter and blocks the caller
- * until every index has run. The pool itself imposes no ordering --
- * determinism is the caller's job (write to slot i, reduce in order).
+ * @return The machine-default worker count: the UJAM_THREADS
+ * environment variable if it is set and reads whole as a positive
+ * integer, otherwise std::thread::hardware_concurrency() (>= 1).
  */
-class ThreadPool
-{
-  public:
-    /**
-     * Construct a pool.
-     *
-     * @param threads Worker count; 0 means defaultThreads(). A pool
-     *                of size 1 runs everything inline on the caller.
-     */
-    explicit ThreadPool(std::size_t threads = 0);
-
-    ~ThreadPool();
-
-    ThreadPool(const ThreadPool &) = delete;
-    ThreadPool &operator=(const ThreadPool &) = delete;
-
-    /** @return Number of threads that may run bodies (>= 1). */
-    std::size_t size() const { return size_; }
-
-    /**
-     * Run body(i) for every i in [0, n), potentially in parallel.
-     *
-     * Blocks until all iterations finish. Safe to call repeatedly;
-     * not reentrant from inside a body.
-     */
-    void parallelFor(std::size_t n,
-                     const std::function<void(std::size_t)> &body);
-
-    /**
-     * @return The machine-default worker count: the UJAM_THREADS
-     * environment variable if set and positive, otherwise
-     * std::thread::hardware_concurrency() (>= 1).
-     */
-    static std::size_t defaultThreads();
-
-    /** @return A lazily constructed process-wide pool of defaultThreads(). */
-    static ThreadPool &shared();
-
-  private:
-    void workerLoop();
-    void runLoop(std::uint64_t generation,
-                 const std::function<void(std::size_t)> &body);
-
-    std::size_t size_ = 1;
-    std::vector<std::thread> workers_;
-
-    std::mutex mutex_;
-    std::condition_variable wake_;
-    std::condition_variable done_;
-    // Job state, guarded by mutex_ (indices are claimed under the
-    // lock too: bodies are coarse-grained here, contention is nil).
-    const std::function<void(std::size_t)> *body_ = nullptr;
-    std::size_t total_ = 0;
-    std::size_t next_ = 0;
-    std::size_t inflight_ = 0;
-    std::size_t firstErrorIndex_ = 0;
-    std::exception_ptr error_;
-    std::uint64_t generation_ = 0;
-    bool stop_ = false;
-};
+std::size_t defaultThreads();
 
 /**
- * Convenience loop used across the codebase.
+ * Run body(i) for every i in [0, n), potentially in parallel, and
+ * block until all iterations finish.
+ *
+ * A call made from inside a body runs inline on that body's thread:
+ * one level of parallelism saturates the machine.
  *
  * @param n       Iteration count.
- * @param threads 0 = the shared pool's full width, 1 = inline serial
- *                (no pool involvement at all), k > 1 = at most k
- *                workers of the shared pool.
+ * @param threads 0 = defaultThreads(), 1 = inline serial in index
+ *                order, k > 1 = at most k threads (the caller is
+ *                one of them).
  * @param body    Called once per index.
  */
 void parallelFor(std::size_t n, std::size_t threads,

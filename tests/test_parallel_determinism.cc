@@ -15,9 +15,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdlib>
 #include <functional>
+#include <optional>
 #include <stdexcept>
+#include <string>
+#include <thread>
 
 #include "baseline/brute_force.hh"
 #include "core/optimizer.hh"
@@ -36,43 +41,103 @@ namespace ujam
 namespace
 {
 
-// --- thread pool basics --------------------------------------------------
+// --- parallelFor basics --------------------------------------------------
+
+/** Set UJAM_THREADS for one scope and restore it afterwards. */
+class ScopedThreadsEnv
+{
+  public:
+    explicit ScopedThreadsEnv(const char *value)
+    {
+        if (const char *old = std::getenv("UJAM_THREADS"))
+            saved_ = old;
+        ::setenv("UJAM_THREADS", value, 1);
+    }
+    ~ScopedThreadsEnv()
+    {
+        if (saved_)
+            ::setenv("UJAM_THREADS", saved_->c_str(), 1);
+        else
+            ::unsetenv("UJAM_THREADS");
+    }
+
+  private:
+    std::optional<std::string> saved_;
+};
 
 TEST(ThreadPool, CoversEveryIndexExactlyOnce)
 {
-    ThreadPool pool(4);
-    EXPECT_EQ(pool.size(), 4u);
     std::vector<std::atomic<int>> hits(1000);
-    pool.parallelFor(hits.size(),
-                     [&](std::size_t i) { hits[i].fetch_add(1); });
+    parallelFor(hits.size(), 4,
+                [&](std::size_t i) { hits[i].fetch_add(1); });
     for (std::size_t i = 0; i < hits.size(); ++i)
         EXPECT_EQ(hits[i].load(), 1) << i;
 }
 
 TEST(ThreadPool, ReusableAcrossJobs)
 {
-    ThreadPool pool(3);
     for (int round = 0; round < 50; ++round) {
         std::atomic<std::size_t> sum{0};
-        pool.parallelFor(100, [&](std::size_t i) { sum += i; });
+        parallelFor(100, 3, [&](std::size_t i) { sum += i; });
         EXPECT_EQ(sum.load(), 4950u);
     }
 }
 
 TEST(ThreadPool, PropagatesExceptions)
 {
-    ThreadPool pool(4);
-    EXPECT_THROW(pool.parallelFor(
-                     64,
-                     [](std::size_t i) {
-                         if (i == 17)
-                             throw std::runtime_error("boom");
-                     }),
-                 std::runtime_error);
-    // The pool survives a throwing job.
+    // The first failing index wins, whichever thread ran it.
+    try {
+        parallelFor(64, 4, [](std::size_t i) {
+            if (i == 17 || i == 40)
+                throw std::runtime_error(std::to_string(i));
+        });
+        FAIL() << "no exception";
+    } catch (const std::runtime_error &err) {
+        EXPECT_STREQ(err.what(), "17");
+    }
+    // A throwing job leaves nothing behind for the next one.
     std::atomic<int> ran{0};
-    pool.parallelFor(8, [&](std::size_t) { ran.fetch_add(1); });
+    parallelFor(8, 4, [&](std::size_t) { ran.fetch_add(1); });
     EXPECT_EQ(ran.load(), 8);
+}
+
+TEST(ThreadPool, ConcurrentCallersRunEveryIndexOnce)
+{
+    // Two threads entering parallelFor at the default width at once:
+    // each job must run each of its indices exactly once, and both
+    // calls must return.
+    ScopedThreadsEnv width("4");
+    for (int round = 0; round < 20; ++round) {
+        std::vector<std::atomic<int>> first(2000);
+        std::vector<std::atomic<int>> second(2000);
+        auto job = [](std::vector<std::atomic<int>> &hits) {
+            parallelFor(hits.size(), 0,
+                        [&](std::size_t i) { hits[i].fetch_add(1); });
+        };
+        std::thread a(job, std::ref(first));
+        std::thread b(job, std::ref(second));
+        a.join();
+        b.join();
+        for (std::size_t i = 0; i < first.size(); ++i) {
+            ASSERT_EQ(first[i].load(), 1) << round << ": " << i;
+            ASSERT_EQ(second[i].load(), 1) << round << ": " << i;
+        }
+    }
+}
+
+TEST(ThreadPool, DefaultThreadsReadsTheEnvironmentWhole)
+{
+    {
+        ScopedThreadsEnv width("3");
+        EXPECT_EQ(defaultThreads(), 3u);
+    }
+    // Anything else falls back to the core count.
+    std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
+    for (const char *bad :
+         {"3abc", "0", "-2", " 3", "", "99999999999999999999"}) {
+        ScopedThreadsEnv width(bad);
+        EXPECT_EQ(defaultThreads(), hw) << "'" << bad << "'";
+    }
 }
 
 TEST(ThreadPool, NestedParallelForRunsInline)

@@ -122,8 +122,8 @@ TEST(ScenarioSpec, NameSyntaxSplitsTheCorpus)
 TEST(ScenarioDeterminism, FixedSpecIsByteIdenticalAcrossThreads)
 {
     // The determinism contract: generation is a pure function of the
-    // complete spec, so concurrent generation from many pool workers
-    // must produce byte-identical DSL.
+    // complete spec, so concurrent generation from many threads must
+    // produce byte-identical DSL.
     for (const IScenarioGenerator *family : scenarioRegistry()) {
         std::string error;
         std::optional<ScenarioSpec> spec =

@@ -181,9 +181,9 @@ TEST(ServiceCache, KeyChangesWithEverySemanticInput)
 
 TEST(ServiceCache, EveryOptionReachesTheKey)
 {
-    // Requests that differ only in one wire option must hash apart --
+    // Requests that differ only in one wire option must hash apart:
     // an option added to the table without a line in the key text
-    // would serve stale results -- except threads, which must not.
+    // would serve stale results.
     Program program = sourceProgram();
     auto key_with = [&](const std::string &name,
                         const std::string &value_json) {
@@ -222,10 +222,7 @@ TEST(ServiceCache, EveryOptionReachesTheKey)
         std::set<std::string> keys;
         for (const std::string &value : values)
             keys.insert(key_with(option.name, value));
-        if (std::string(option.name) == "threads")
-            EXPECT_EQ(keys.size(), 1u) << option.name;
-        else
-            EXPECT_EQ(keys.size(), values.size()) << option.name;
+        EXPECT_EQ(keys.size(), values.size()) << option.name;
     }
 }
 
@@ -329,6 +326,9 @@ TEST(ServiceProtocol, RejectsMalformedRequests)
         " \"options\": {\"max_unroll\": 0}}",
         "{\"op\": \"optimize\", \"source\": \"x\","
         " \"options\": {\"frobnicate\": 1}}",
+        // Width is the server's choice, not the request's.
+        "{\"op\": \"optimize\", \"source\": \"x\","
+        " \"options\": {\"threads\": 3}}",
         "{\"op\": \"optimize\", \"source\": \"x\","
         " \"deadline_ms\": -1}",
     };
@@ -345,7 +345,7 @@ TEST(ServiceProtocol, AcceptsTheDocumentedOptions)
         requestLine("optimize", "r1", kSource,
                     R"({"max_unroll": 6, "lint": "strict",
                         "prefetch": true, "prefetch_distance": 4,
-                        "oracle": true, "threads": 3})"));
+                        "oracle": true})"));
     ASSERT_TRUE(parsed.ok()) << parsed.error;
     const ServiceRequest &request = *parsed.request;
     EXPECT_EQ(request.id, "r1");
@@ -355,7 +355,6 @@ TEST(ServiceProtocol, AcceptsTheDocumentedOptions)
     EXPECT_TRUE(request.config.prefetch);
     EXPECT_EQ(request.config.prefetchConfig.distanceIters, 4);
     EXPECT_TRUE(request.config.safety.oracle);
-    EXPECT_EQ(request.config.threads, 3u);
 }
 
 TEST(ServiceProtocol, FlagTextMatchesTheWire)
@@ -646,6 +645,19 @@ TEST(ServiceCli, BadNumbersAreUsageErrors)
         << output;
 }
 
+TEST(ServiceCli, OutOfRangeFaultNumberIsAFatalError)
+{
+    // An ordinal past 2^64 once escaped every FatalError handler as
+    // std::out_of_range and aborted the server.
+    ::setenv("UJAM_FAULT", "worker_crash:99999999999999999999", 1);
+    std::string output;
+    int status = runServe("--batch", output);
+    ::unsetenv("UJAM_FAULT");
+    EXPECT_EQ(status, 2) << output;
+    EXPECT_NE(output.find("fatal: fault spec"), std::string::npos)
+        << output;
+}
+
 TEST(ServiceSocket, ConcurrentClientsDeadlinesAndShutdown)
 {
     ServerConfig config;
@@ -906,6 +918,11 @@ TEST(ProcessFaultSpecs, GrammarRoutesSplitsAndRejects)
 
     // Ordinals are 1-based; 0 is a spec error, not "never".
     EXPECT_THROW(parseMixedFaultSpecs("worker_crash:0"), FatalError);
+    // Numbers past their type's range are spec errors too.
+    for (const char *spec : {"worker_crash:99999999999999999999",
+                             "worker_hang:1:99999999999999999999",
+                             "unroll:99999999999999999999:throw"})
+        EXPECT_THROW(parseMixedFaultSpecs(spec), FatalError) << spec;
     // Pipeline specs are not valid where only process specs belong.
     EXPECT_THROW(parseProcessFaultSpecs("unroll:0:throw"), FatalError);
 
