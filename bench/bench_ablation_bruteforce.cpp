@@ -5,7 +5,9 @@
  *
  * Verifies all three pick the same unroll vectors on the suite, then
  * times them: the tables do closed-form merge-point work once; brute
- * force re-unrolls and re-measures a body per candidate point.
+ * force re-unrolls and re-measures a body per candidate point. Exits 1
+ * when any suite loop's three vectors differ, so a benchmark smoke run
+ * gates the agreement claim.
  */
 
 #include <benchmark/benchmark.h>
@@ -27,7 +29,8 @@ benchConfig()
     return config;
 }
 
-void
+/** Print the decision table; @return True iff every loop agrees. */
+bool
 printAgreement()
 {
     using namespace ujam;
@@ -57,6 +60,7 @@ printAgreement()
     }
     std::printf("\nagreement: %zu / %zu loops\n", agreements,
                 testSuite().size());
+    return agreements == testSuite().size();
 }
 
 void
@@ -115,8 +119,8 @@ BENCHMARK(BM_DepBased)->Arg(0)->Arg(10)->Arg(14)->Arg(15);
 int
 main(int argc, char **argv)
 {
-    printAgreement();
+    bool agree = printAgreement();
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();
-    return 0;
+    return agree ? 0 : 1;
 }

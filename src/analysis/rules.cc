@@ -759,18 +759,22 @@ class RegisterPressureRule : public Rule
         const LoopNest &nest = ctx.nest();
         if (nest.depth() < 2 || !nest.allRefsAnalyzable())
             return;
+        // One build, two searches: register limit off, then on.
         OptimizerConfig config;
         config.maxUnroll = ctx.options().maxUnroll;
+        UnrollProblem problem = unrollProblem(nest, ctx.machine(), config);
+        NestTables tables =
+            buildNestTables(nest, problem.space, problem.localized);
         config.limitRegisters = false;
         UnrollDecision unlimited =
-            chooseUnrollAmounts(nest, ctx.machine(), config);
+            searchUnrollSpace(nest, ctx.machine(), config, tables);
         if (!unlimited.transforms() ||
             unlimited.registers <= ctx.machine().fpRegisters) {
             return;
         }
         config.limitRegisters = true;
         UnrollDecision limited =
-            chooseUnrollAmounts(nest, ctx.machine(), config);
+            searchUnrollSpace(nest, ctx.machine(), config, tables);
         if (limited.unroll == unlimited.unroll)
             return;
         out.push_back(ctx.finding(

@@ -1,6 +1,6 @@
 #include "baseline/brute_force.hh"
 
-#include <cmath>
+#include <algorithm>
 
 #include "support/thread_pool.hh"
 #include "transform/unroll_and_jam.hh"
@@ -27,85 +27,39 @@ bruteForceChooseUnroll(const LoopNest &nest, const MachineModel &machine,
     if (depth < 2)
         return result;
 
-    DepOptions dep_options;
-    dep_options.includeInput = false;
-    DependenceGraph graph = analyzeDependences(nest, dep_options);
-    IntVector safety = safeUnrollBounds(nest, graph, config.maxUnroll);
-
-    LocalityParams locality = config.locality;
-    locality.cacheLineElems = machine.lineElems();
-    std::vector<std::size_t> candidates =
-        rankUnrollCandidates(nest, locality, config.maxLoops);
-    std::vector<std::size_t> dims;
-    std::vector<std::int64_t> limits;
-    for (std::size_t k : candidates) {
-        if (safety[k] > 0) {
-            dims.push_back(k);
-            limits.push_back(safety[k]);
-        }
-    }
-    UnrollSpace space(depth, dims, limits);
-    Subspace localized = Subspace::coordinate(depth, {depth - 1});
+    UnrollProblem problem = unrollProblem(nest, machine, config);
+    const UnrollSpace &space = problem.space;
+    const LocalityParams locality = machineLocality(machine, config);
 
     // Transform+reanalyze of each candidate is independent and by far
-    // the dominant cost, so fan it out; the best-point reduction then
-    // walks the per-candidate slots in index order, reproducing the
-    // serial scan's decisions (including its tie-breaks) exactly.
-    struct Candidate
-    {
-        BodyCounts counts;
-        BalanceResult balance;
-    };
-    std::vector<Candidate> candidates_out(space.size());
+    // the dominant cost, so fan it out into index-addressed slots; the
+    // shared search then reads them in index order, so every thread
+    // count reproduces the serial decision (tie-breaks included).
+    std::vector<BodyCounts> bodies(space.size());
     parallelFor(space.size(), config.threads, [&](std::size_t i) {
-        IntVector u = space.vectorAt(i);
-        Candidate &slot = candidates_out[i];
-        slot.counts = measureUnrolledBody(nest, u, localized, locality);
-
-        BalanceInputs in;
-        in.memOps = static_cast<double>(slot.counts.memOps);
-        in.flops = static_cast<double>(slot.counts.flops);
-        in.mainMemoryAccesses =
-            config.useCacheModel ? slot.counts.mainMemoryAccesses : 0.0;
-        slot.balance = loopBalance(in, machine);
+        bodies[i] = measureUnrolledBody(nest, space.vectorAt(i),
+                                        problem.localized, locality);
     });
-
-    double best_score = 0.0;
-    double best_copies = 0.0;
-    bool have_best = false;
-
-    for (std::size_t i = 0; i < space.size(); ++i) {
-        IntVector u = space.vectorAt(i);
-        const BodyCounts &counts = candidates_out[i].counts;
-        ++result.pointsEvaluated;
-        result.peakBodyRefs =
-            std::max(result.peakBodyRefs, counts.references);
-        result.totalBodyRefs += counts.references;
-
-        const BalanceResult &balance = candidates_out[i].balance;
-
-        if (!u.isZero() && config.limitRegisters &&
-            counts.registers > machine.fpRegisters) {
-            continue;
-        }
-
-        double score =
-            std::fabs(balance.balance - machine.machineBalance());
-        double copies = 1.0;
-        for (std::size_t k = 0; k < depth; ++k)
-            copies *= static_cast<double>(u[k] + 1);
-        bool better = !have_best || score < best_score - 1e-12 ||
-                      (score < best_score + 1e-12 &&
-                       copies < best_copies);
-        if (better) {
-            have_best = true;
-            best_score = score;
-            best_copies = copies;
-            result.unroll = u;
-            result.predictedBalance = balance.balance;
-            result.registers = counts.registers;
-        }
+    for (const BodyCounts &body : bodies) {
+        result.peakBodyRefs = std::max(result.peakBodyRefs, body.references);
+        result.totalBodyRefs += body.references;
     }
+
+    UnrollDecision decision = searchPoints(
+        nest, machine, config, space, [&](const IntVector &u) {
+            const BodyCounts &body = bodies[space.indexOf(u)];
+            PointModel point;
+            point.inputs.memOps = static_cast<double>(body.memOps);
+            point.inputs.flops = static_cast<double>(body.flops);
+            point.inputs.mainMemoryAccesses =
+                config.useCacheModel ? body.mainMemoryAccesses : 0.0;
+            point.registers = body.registers;
+            return point;
+        });
+    result.unroll = decision.unroll;
+    result.predictedBalance = decision.predictedBalance;
+    result.registers = decision.registers;
+    result.pointsEvaluated = decision.searchedPoints;
     return result;
 }
 

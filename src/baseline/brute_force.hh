@@ -32,7 +32,10 @@ struct BruteForceResult
 
 /**
  * Brute-force search with the same objective, safety bounds and
- * candidate loops as chooseUnrollAmounts.
+ * candidate loops as chooseUnrollAmounts: the problem comes from
+ * unrollProblem, the Eq. 1 parameters from machineLocality and the
+ * pick from searchPoints. Only the per-point counts differ: each
+ * comes from materializing the unrolled body.
  */
 BruteForceResult bruteForceChooseUnroll(const LoopNest &nest,
                                         const MachineModel &machine,

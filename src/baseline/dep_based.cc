@@ -134,43 +134,24 @@ depBasedChooseUnroll(const LoopNest &nest, const MachineModel &machine,
                      const OptimizerConfig &config)
 {
     DepBasedResult result;
-    const std::size_t depth = nest.depth();
-    result.decision.unroll = IntVector(depth);
-    result.decision.machineBalance = machine.machineBalance();
-    result.decision.safetyBounds = IntVector(depth);
-    if (depth < 2)
+    if (nest.depth() < 2) {
+        result.decision = chooseUnrollAmounts(nest, machine, config);
         return result;
+    }
 
     // The whole point: this model must build and keep the full graph,
-    // input dependences included.
-    DependenceGraph graph = analyzeDependences(nest, DepOptions{true});
+    // input dependences included, to read its group reuse off edges.
+    DependenceGraph graph = analyzeDependences(nest);
     result.graphEdges = graph.size();
     result.inputEdges = graph.inputCount();
     result.graphBytes = graph.storageBytes();
     result.graphBytesNoInput = graph.storageBytesWithoutInput();
 
-    IntVector safety = safeUnrollBounds(nest, graph, config.maxUnroll);
-
-    LocalityParams locality = config.locality;
-    locality.cacheLineElems = machine.lineElems();
-    std::vector<std::size_t> candidates =
-        rankUnrollCandidates(nest, locality, config.maxLoops);
-    std::vector<std::size_t> dims;
-    std::vector<std::int64_t> limits;
-    for (std::size_t k : candidates) {
-        if (safety[k] > 0) {
-            dims.push_back(k);
-            limits.push_back(safety[k]);
-        }
-    }
-    UnrollSpace space(depth, dims, limits);
-    Subspace localized = Subspace::coordinate(depth, {depth - 1});
-
-    NestTables tables = buildNestTables(nest, space, localized);
+    UnrollProblem problem = unrollProblem(nest, machine, config);
+    NestTables tables =
+        buildNestTables(nest, problem.space, problem.localized);
     replaceGtsTablesFromEdges(nest, graph, tables);
-
-    result.decision = searchUnrollSpace(nest, machine, config, tables);
-    result.decision.safetyBounds = safety;
+    result.decision = decideUnroll(nest, machine, config, problem, tables);
     return result;
 }
 

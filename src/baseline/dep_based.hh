@@ -33,6 +33,11 @@ struct DepBasedResult
 /**
  * Choose unroll amounts using the dependence-based reuse model.
  *
+ * The safety bounds, the space and the tables it starts from come
+ * from unrollProblem, as for chooseUnrollAmounts; the full graph
+ * (input dependences included) only supplies the group-temporal
+ * absorption points and the storage bill.
+ *
  * @param nest    The nest.
  * @param machine Target machine.
  * @param config  Shared optimizer configuration.

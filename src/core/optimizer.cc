@@ -15,7 +15,8 @@ namespace
 /** Operation counts of the body unrolled by u, from the tables. */
 BalanceInputs
 bodyInputs(const NestTables &tables, const LoopNest &nest,
-           const IntVector &u, const OptimizerConfig &config)
+           const IntVector &u, const MachineModel &machine,
+           const OptimizerConfig &config)
 {
     double copies = 1.0;
     for (std::size_t k = 0; k < u.size(); ++k)
@@ -26,9 +27,35 @@ bodyInputs(const NestTables &tables, const LoopNest &nest,
     in.memOps = static_cast<double>(tables.rrsTotal.at(u));
     in.mainMemoryAccesses =
         config.useCacheModel
-            ? tables.mainMemoryAccesses(u, config.locality)
+            ? tables.mainMemoryAccesses(u, machineLocality(machine, config))
             : 0.0;
     return in;
+}
+
+/** The fields every decision on a nest starts from. */
+UnrollDecision
+decisionHeader(const LoopNest &nest, const MachineModel &machine,
+               const std::vector<std::size_t> &considered)
+{
+    UnrollDecision decision;
+    decision.unroll = IntVector(nest.depth());
+    decision.machineBalance = machine.machineBalance();
+    decision.safetyBounds = IntVector(nest.depth());
+    decision.consideredLoops = considered;
+    return decision;
+}
+
+/** Make u the decision's vector, with the model's numbers there. */
+void
+pick(UnrollDecision &decision, const IntVector &u, const BalanceInputs &in,
+     double balance, std::int64_t registers)
+{
+    decision.unroll = u;
+    decision.predictedBalance = balance;
+    decision.registers = registers;
+    decision.memOps = in.memOps;
+    decision.flops = in.flops;
+    decision.misses = in.mainMemoryAccesses;
 }
 
 /**
@@ -44,14 +71,7 @@ forceUnrollVector(const LoopNest &nest, const MachineModel &machine,
 {
     const std::size_t depth = nest.depth();
     const UnrollSpace &space = tables.space;
-    UnrollDecision decision;
-    decision.unroll = IntVector(depth);
-    decision.machineBalance = machine.machineBalance();
-    decision.safetyBounds = IntVector(depth);
-    decision.consideredLoops = space.dims();
-
-    OptimizerConfig local_config = config;
-    local_config.locality.cacheLineElems = machine.lineElems();
+    UnrollDecision decision = decisionHeader(nest, machine, space.dims());
 
     IntVector u(depth);
     for (std::size_t i = 0; i < space.dims().size(); ++i) {
@@ -61,18 +81,13 @@ forceUnrollVector(const LoopNest &nest, const MachineModel &machine,
         u[k] = std::clamp<std::int64_t>(want, 0, space.limits()[i]);
     }
 
-    BalanceInputs zero_in =
-        bodyInputs(tables, nest, IntVector(depth), local_config);
-    decision.originalBalance = loopBalance(zero_in, machine).balance;
-
-    BalanceInputs in = bodyInputs(tables, nest, u, local_config);
-    BalanceResult result = loopBalance(in, machine);
-    decision.unroll = u;
-    decision.predictedBalance = result.balance;
-    decision.registers = tables.registersTotal.at(u);
-    decision.memOps = in.memOps;
-    decision.flops = in.flops;
-    decision.misses = in.mainMemoryAccesses;
+    decision.originalBalance =
+        evaluateUnrollVector(tables, nest, IntVector(depth), machine,
+                             config)
+            .balance;
+    BalanceInputs in = bodyInputs(tables, nest, u, machine, config);
+    pick(decision, u, in, loopBalance(in, machine).balance,
+         tables.registersTotal.at(u));
     decision.searchedPoints = 1;
     return decision;
 }
@@ -90,88 +105,21 @@ UnrollDecision::toString() const
                   formatFixed(flops, 1));
 }
 
-BalanceResult
-evaluateUnrollVector(const NestTables &tables, const LoopNest &nest,
-                     const IntVector &u, const MachineModel &machine,
-                     const OptimizerConfig &config)
+LocalityParams
+machineLocality(const MachineModel &machine, const OptimizerConfig &config)
 {
-    return loopBalance(bodyInputs(tables, nest, u, config), machine);
+    LocalityParams locality = config.locality;
+    locality.cacheLineElems = machine.lineElems();
+    return locality;
 }
 
-UnrollDecision
-searchUnrollSpace(const LoopNest &nest, const MachineModel &machine,
-                  const OptimizerConfig &config, const NestTables &tables)
+UnrollProblem
+unrollProblem(const LoopNest &nest, const MachineModel &machine,
+              const OptimizerConfig &config)
 {
     const std::size_t depth = nest.depth();
-    const UnrollSpace &space = tables.space;
-    UnrollDecision decision;
-    decision.unroll = IntVector(depth);
-    decision.machineBalance = machine.machineBalance();
-    decision.safetyBounds = IntVector(depth);
-    decision.consideredLoops = space.dims();
-
-    OptimizerConfig local_config = config;
-    local_config.locality.cacheLineElems = machine.lineElems();
-
-    double best_score = 0.0;
-    bool have_best = false;
-    double best_copies = 0.0;
-
-    for (std::size_t i = 0; i < space.size(); ++i) {
-        IntVector u = space.vectorAt(i);
-        BalanceInputs in = bodyInputs(tables, nest, u, local_config);
-        BalanceResult result = loopBalance(in, machine);
-        ++decision.searchedPoints;
-
-        if (u.isZero()) {
-            decision.originalBalance = result.balance;
-        }
-
-        std::int64_t registers = tables.registersTotal.at(u);
-        // The identity vector is always admissible (it is the
-        // untransformed loop); other points must fit the register file.
-        if (!u.isZero() && config.limitRegisters &&
-            registers > machine.fpRegisters) {
-            continue;
-        }
-
-        double score = std::fabs(result.balance - machine.machineBalance());
-        double copies = 1.0;
-        for (std::size_t k = 0; k < depth; ++k)
-            copies *= static_cast<double>(u[k] + 1);
-
-        // Prefer the closest balance; break ties toward the smaller
-        // body (less code growth, smaller fringe cost).
-        bool better = !have_best || score < best_score - 1e-12 ||
-                      (score < best_score + 1e-12 &&
-                       copies < best_copies);
-        if (better) {
-            have_best = true;
-            best_score = score;
-            best_copies = copies;
-            decision.unroll = u;
-            decision.predictedBalance = result.balance;
-            decision.registers = registers;
-            decision.memOps = in.memOps;
-            decision.flops = in.flops;
-            decision.misses = in.mainMemoryAccesses;
-        }
-    }
-    return decision;
-}
-
-UnrollDecision
-chooseUnrollAmounts(const LoopNest &nest, const MachineModel &machine,
-                    const OptimizerConfig &config)
-{
-    const std::size_t depth = nest.depth();
-    UnrollDecision decision;
-    decision.unroll = IntVector(depth);
-    decision.machineBalance = machine.machineBalance();
-    decision.safetyBounds = IntVector(depth);
-
-    if (depth < 2)
-        return decision;
+    UJAM_ASSERT(depth >= 2, "unroll problem of a nest shallower than 2");
+    UnrollProblem problem;
 
     // Safety first: the dependence graph (input dependences omitted --
     // they never constrain correctness) bounds every unroll amount.
@@ -180,35 +128,111 @@ chooseUnrollAmounts(const LoopNest &nest, const MachineModel &machine,
     dep_options.rangePrune = config.depRangePrune;
     dep_options.params = config.params;
     DependenceGraph graph = analyzeDependences(nest, dep_options);
-    IntVector safety = safeUnrollBounds(nest, graph, config.maxUnroll);
+    problem.safetyBounds =
+        safeUnrollBounds(nest, graph, config.maxUnroll);
 
     // Pick the most profitable loops by Eq. 1 (section 4.5), dropping
     // loops safety forbids entirely.
-    LocalityParams locality = config.locality;
-    locality.cacheLineElems = machine.lineElems();
-    std::vector<std::size_t> candidates =
-        rankUnrollCandidates(nest, locality, config.maxLoops);
     std::vector<std::size_t> dims;
     std::vector<std::int64_t> limits;
-    for (std::size_t k : candidates) {
-        if (safety[k] > 0) {
+    for (std::size_t k : rankUnrollCandidates(
+             nest, machineLocality(machine, config), config.maxLoops)) {
+        if (problem.safetyBounds[k] > 0) {
             dims.push_back(k);
-            limits.push_back(safety[k]);
+            limits.push_back(problem.safetyBounds[k]);
         }
     }
+    problem.space = UnrollSpace(depth, dims, limits);
+    problem.localized = Subspace::coordinate(depth, {depth - 1});
+    return problem;
+}
 
-    UnrollSpace space(depth, dims, limits);
-    Subspace localized = Subspace::coordinate(depth, {depth - 1});
-    NestTables tables = buildNestTables(nest, space, localized);
+BalanceResult
+evaluateUnrollVector(const NestTables &tables, const LoopNest &nest,
+                     const IntVector &u, const MachineModel &machine,
+                     const OptimizerConfig &config)
+{
+    return loopBalance(bodyInputs(tables, nest, u, machine, config),
+                       machine);
+}
 
-    if (config.forceUnroll) {
-        decision = forceUnrollVector(nest, machine, config, tables,
-                                     *config.forceUnroll);
-    } else {
-        decision = searchUnrollSpace(nest, machine, config, tables);
+UnrollDecision
+searchPoints(const LoopNest &nest, const MachineModel &machine,
+             const OptimizerConfig &config, const UnrollSpace &space,
+             const std::function<PointModel(const IntVector &)> &at)
+{
+    UnrollDecision decision = decisionHeader(nest, machine, space.dims());
+    double best_score = 0.0;
+    double best_copies = 0.0;
+
+    for (std::size_t i = 0; i < space.size(); ++i) {
+        IntVector u = space.vectorAt(i);
+        PointModel point = at(u);
+        BalanceResult result = loopBalance(point.inputs, machine);
+        ++decision.searchedPoints;
+
+        // The identity vector (index 0) is always admissible -- it is
+        // the untransformed loop; other points must fit the register
+        // file.
+        if (u.isZero()) {
+            decision.originalBalance = result.balance;
+        } else if (config.limitRegisters &&
+                   point.registers > machine.fpRegisters) {
+            continue;
+        }
+
+        double score = std::fabs(result.balance - machine.machineBalance());
+        double copies = 1.0;
+        for (std::size_t k = 0; k < u.size(); ++k)
+            copies *= static_cast<double>(u[k] + 1);
+        if (i == 0 || score < best_score - 1e-12 ||
+            (score < best_score + 1e-12 && copies < best_copies)) {
+            best_score = score;
+            best_copies = copies;
+            pick(decision, u, point.inputs, result.balance,
+                 point.registers);
+        }
     }
-    decision.safetyBounds = safety;
     return decision;
+}
+
+UnrollDecision
+searchUnrollSpace(const LoopNest &nest, const MachineModel &machine,
+                  const OptimizerConfig &config, const NestTables &tables)
+{
+    return searchPoints(nest, machine, config, tables.space,
+                        [&](const IntVector &u) {
+                            return PointModel{
+                                bodyInputs(tables, nest, u, machine,
+                                           config),
+                                tables.registersTotal.at(u)};
+                        });
+}
+
+UnrollDecision
+decideUnroll(const LoopNest &nest, const MachineModel &machine,
+             const OptimizerConfig &config, const UnrollProblem &problem,
+             const NestTables &tables)
+{
+    UnrollDecision decision =
+        config.forceUnroll
+            ? forceUnrollVector(nest, machine, config, tables,
+                                *config.forceUnroll)
+            : searchUnrollSpace(nest, machine, config, tables);
+    decision.safetyBounds = problem.safetyBounds;
+    return decision;
+}
+
+UnrollDecision
+chooseUnrollAmounts(const LoopNest &nest, const MachineModel &machine,
+                    const OptimizerConfig &config)
+{
+    if (nest.depth() < 2)
+        return decisionHeader(nest, machine, {});
+    UnrollProblem problem = unrollProblem(nest, machine, config);
+    NestTables tables =
+        buildNestTables(nest, problem.space, problem.localized);
+    return decideUnroll(nest, machine, config, problem, tables);
 }
 
 } // namespace ujam

@@ -12,12 +12,15 @@
  * GTS/GSS tables through Eq. 1, and register pressure from the
  * register table. Safety bounds come from the dependence graph
  * (truncated to omit input dependences -- they are not needed here,
- * which is the paper's storage win).
+ * which is the paper's storage win). unrollProblem builds the bounds
+ * and the space once per nest; tables over that space then answer
+ * every question asked of the nest.
  */
 
 #ifndef UJAM_CORE_OPTIMIZER_HH
 #define UJAM_CORE_OPTIMIZER_HH
 
+#include <functional>
 #include <optional>
 #include <string>
 
@@ -99,6 +102,47 @@ struct UnrollDecision
 };
 
 /**
+ * What the optimizer knows about a nest before it builds tables,
+ * shared by every query and every table method (UGS tables, brute
+ * force, dependence-based) so that they all search one space.
+ */
+struct UnrollProblem
+{
+    /**
+     * Per-loop legal maximum at config.maxUnroll, from the graph
+     * without input dependences, range-pruned under config.params
+     * when config.depRangePrune is set.
+     */
+    IntVector safetyBounds;
+    /** The Eq.-1-ranked loops safety allows, each up to its bound. */
+    UnrollSpace space;
+    Subspace localized; //!< the cache model's: the innermost loop
+};
+
+/**
+ * @return The Eq. 1 parameters the optimizer prices with:
+ * config.locality at the machine's cache-line size.
+ */
+LocalityParams machineLocality(const MachineModel &machine,
+                               const OptimizerConfig &config);
+
+/** @return The nest's unroll problem; requires depth >= 2. */
+UnrollProblem unrollProblem(const LoopNest &nest,
+                            const MachineModel &machine,
+                            const OptimizerConfig &config);
+
+/**
+ * The model at config.forceUnroll, or else the search, on tables built
+ * over problem.space (chooseUnrollAmounts is unrollProblem, then
+ * buildNestTables, then this).
+ */
+UnrollDecision decideUnroll(const LoopNest &nest,
+                            const MachineModel &machine,
+                            const OptimizerConfig &config,
+                            const UnrollProblem &problem,
+                            const NestTables &tables);
+
+/**
  * Choose unroll amounts for a nest on a machine.
  *
  * @param nest    The candidate nest (depth >= 2 and analyzable refs
@@ -114,19 +158,37 @@ UnrollDecision chooseUnrollAmounts(const LoopNest &nest,
 
 /**
  * Search an already-built table set for the best unroll vector (the
- * inner loop of chooseUnrollAmounts; exposed so alternative table
- * constructions -- e.g. the dependence-based baseline -- share the
- * identical objective).
+ * inner loop of chooseUnrollAmounts; exposed so one build answers
+ * several searches -- UJ014 runs it with the register limit off, then
+ * on). The decision's safetyBounds are left zero.
  */
 UnrollDecision searchUnrollSpace(const LoopNest &nest,
                                  const MachineModel &machine,
                                  const OptimizerConfig &config,
                                  const NestTables &tables);
 
+/** The model's inputs at one point: operation counts and registers. */
+struct PointModel
+{
+    BalanceInputs inputs;
+    std::int64_t registers = 0;
+};
+
+/**
+ * The search over every point of space, reading each point's model
+ * from `at`: the tables for searchUnrollSpace, the materialized bodies
+ * for the brute-force baseline. The point closest to bM wins (within
+ * the register file when config.limitRegisters); near-ties go to the
+ * smaller body (less code growth, smaller fringe cost).
+ */
+UnrollDecision searchPoints(
+    const LoopNest &nest, const MachineModel &machine,
+    const OptimizerConfig &config, const UnrollSpace &space,
+    const std::function<PointModel(const IntVector &)> &at);
+
 /**
  * Evaluate the balance of a specific unroll vector using tables
- * already built (exposed for benchmarks and the brute-force
- * comparison).
+ * already built, as the search does (the report's bL column).
  */
 BalanceResult evaluateUnrollVector(const NestTables &tables,
                                    const LoopNest &nest,

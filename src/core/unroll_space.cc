@@ -65,12 +65,6 @@ UnrollSpace::indexOf(const IntVector &u) const
 {
     UJAM_ASSERT(contains(u), "unroll vector ", u.toString(),
                 " outside the space");
-    return indexOfUnchecked(u);
-}
-
-std::size_t
-UnrollSpace::indexOfUnchecked(const IntVector &u) const
-{
     std::size_t index = 0;
     for (std::size_t i = 0; i < dims_.size(); ++i)
         index += static_cast<std::size_t>(u[dims_[i]]) * strides_[i];
@@ -80,33 +74,13 @@ UnrollSpace::indexOfUnchecked(const IntVector &u) const
 IntVector
 UnrollSpace::vectorAt(std::size_t i) const
 {
-    IntVector u(depth_);
-    decodeAt(i, u);
-    return u;
-}
-
-void
-UnrollSpace::decodeAt(std::size_t i, IntVector &out) const
-{
     UJAM_ASSERT(i < size_, "dense index outside the space");
-    if (out.size() != depth_)
-        out = IntVector(depth_);
-    for (std::size_t k = 0; k < depth_; ++k)
-        out[k] = 0;
+    IntVector u(depth_);
     for (std::size_t d = 0; d < dims_.size(); ++d) {
-        out[dims_[d]] = static_cast<std::int64_t>(i / strides_[d]);
+        u[dims_[d]] = static_cast<std::int64_t>(i / strides_[d]);
         i %= strides_[d];
     }
-}
-
-std::vector<IntVector>
-UnrollSpace::allVectors() const
-{
-    std::vector<IntVector> vectors;
-    vectors.reserve(size_);
-    for (std::size_t i = 0; i < size_; ++i)
-        vectors.push_back(vectorAt(i));
-    return vectors;
+    return u;
 }
 
 UnrollTable::UnrollTable(const UnrollSpace &space, std::int64_t init)

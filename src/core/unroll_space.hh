@@ -71,23 +71,8 @@ class UnrollSpace
     /** @return Dense index of u (mixed radix, dims()[0] slowest). */
     std::size_t indexOf(const IntVector &u) const;
 
-    /**
-     * @return Dense index of u without the containment check --
-     * u must already be known to lie in the space.
-     */
-    std::size_t indexOfUnchecked(const IntVector &u) const;
-
     /** @return The unroll vector at dense index i. */
     IntVector vectorAt(std::size_t i) const;
-
-    /**
-     * Decode dense index i into out without allocating (out is
-     * resized to depth() and zeroed outside the unrolled dims).
-     */
-    void decodeAt(std::size_t i, IntVector &out) const;
-
-    /** @return All vectors in dense-index order. */
-    std::vector<IntVector> allVectors() const;
 
     /** @return The componentwise-maximal vector of the space (cached). */
     const IntVector &maxVector() const { return max_; }

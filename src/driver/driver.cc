@@ -311,8 +311,7 @@ optimizeProgram(const Program &program, const MachineModel &machine,
         }
     }
 
-    LocalityParams locality = config.optimizer.locality;
-    locality.cacheLineElems = machine.lineElems();
+    LocalityParams locality = machineLocality(machine, config.optimizer);
 
     // The dependence range pre-filter evaluates bounds under the
     // program's own parameter defaults (the bindings the differential

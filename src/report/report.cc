@@ -1,5 +1,6 @@
 #include "report/report.hh"
 
+#include <algorithm>
 #include <sstream>
 
 #include "codegen/checksum.hh"
@@ -81,43 +82,46 @@ analysisReport(const LoopNest &nest, const MachineModel &machine,
         os << reuseSummary(nest) << "\n";
     }
 
-    UnrollDecision decision = chooseUnrollAmounts(nest, machine, config);
-
-    if (options.showTables && nest.depth() >= 2 &&
-        !decision.consideredLoops.empty()) {
-        std::vector<std::int64_t> limits;
-        for (std::size_t k : decision.consideredLoops) {
-            limits.push_back(std::min(options.maxUnrollShown,
-                                      decision.safetyBounds[k]));
+    UnrollDecision decision;
+    if (nest.depth() < 2) {
+        decision = chooseUnrollAmounts(nest, machine, config);
+    } else {
+        UnrollProblem problem = unrollProblem(nest, machine, config);
+        const UnrollSpace &space = problem.space;
+        NestTables tables =
+            buildNestTables(nest, space, problem.localized);
+        decision = decideUnroll(nest, machine, config, problem, tables);
+        if (options.showTables && !space.dims().empty()) {
+            os << "--- unroll tables (loops";
+            for (std::size_t k : space.dims())
+                os << " " << nest.loop(k).iv;
+            os << ") ---\n";
+            os << padLeft("u", 12) << padLeft("VM", 8)
+               << padLeft("regs", 8) << padLeft("misses", 10)
+               << padLeft("bL", 8) << "\n";
+            // Rows come from the decision's own tables: a cell depends
+            // on its point alone, not on the box it was built over.
+            LocalityParams locality = machineLocality(machine, config);
+            IntVector shown = space.maxVector();
+            for (std::size_t k : space.dims())
+                shown[k] = std::min(shown[k], options.maxUnrollShown);
+            for (std::size_t i = 0; i < space.size(); ++i) {
+                IntVector u = space.vectorAt(i);
+                if (!u.allLessEq(shown))
+                    continue;
+                BalanceResult balance =
+                    evaluateUnrollVector(tables, nest, u, machine, config);
+                os << padLeft(u.toString(), 12)
+                   << padLeft(std::to_string(tables.rrsTotal.at(u)), 8)
+                   << padLeft(std::to_string(tables.registersTotal.at(u)),
+                              8)
+                   << padLeft(formatFixed(
+                                  tables.mainMemoryAccesses(u, locality), 2),
+                              10)
+                   << padLeft(formatFixed(balance.balance, 3), 8) << "\n";
+            }
+            os << "\n";
         }
-        UnrollSpace space(nest.depth(), decision.consideredLoops,
-                          limits);
-        Subspace localized =
-            Subspace::coordinate(nest.depth(), {nest.depth() - 1});
-        NestTables tables = buildNestTables(nest, space, localized);
-        LocalityParams params = config.locality;
-        params.cacheLineElems = machine.lineElems();
-
-        os << "--- unroll tables (loops";
-        for (std::size_t k : decision.consideredLoops)
-            os << " " << nest.loop(k).iv;
-        os << ") ---\n";
-        os << padLeft("u", 12) << padLeft("VM", 8) << padLeft("regs", 8)
-           << padLeft("misses", 10) << padLeft("bL", 8) << "\n";
-        for (std::size_t i = 0; i < space.size(); ++i) {
-            IntVector u = space.vectorAt(i);
-            BalanceResult balance = evaluateUnrollVector(
-                tables, nest, u, machine, config);
-            os << padLeft(u.toString(), 12)
-               << padLeft(std::to_string(tables.rrsTotal.at(u)), 8)
-               << padLeft(std::to_string(tables.registersTotal.at(u)),
-                          8)
-               << padLeft(formatFixed(
-                              tables.mainMemoryAccesses(u, params), 2),
-                          10)
-               << padLeft(formatFixed(balance.balance, 3), 8) << "\n";
-        }
-        os << "\n";
     }
 
     if (options.showDecision) {

@@ -8,6 +8,7 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 
@@ -21,6 +22,7 @@
 #include "ir/validate.hh"
 #include "parser/parser.hh"
 #include "report/report.hh"
+#include "scenarios/sweep.hh"
 #include "support/diagnostics.hh"
 #include "workloads/corpus.hh"
 #include "workloads/suite.hh"
@@ -329,6 +331,44 @@ TEST(LintRules, InductionVariableMisuse)
               std::string::npos);
 }
 
+/** The default sweep manifest's scenario programs: grid x seeds. */
+std::vector<Program>
+defaultSweepPrograms()
+{
+    std::vector<Program> programs;
+    SweepManifest manifest = defaultSweepManifest();
+    for (const SweepFamily &entry : manifest.families) {
+        // Odometer over the grid, last entry fastest.
+        std::vector<std::size_t> digit(entry.grid.size(), 0);
+        for (bool more = true; more;) {
+            std::string params;
+            for (std::size_t g = 0; g < entry.grid.size(); ++g) {
+                params += concat(g ? "," : "", entry.grid[g].first, "=",
+                                 entry.grid[g].second[digit[g]]);
+            }
+            for (std::uint64_t seed : manifest.seeds) {
+                std::string error;
+                std::optional<ScenarioSpec> spec = parseScenarioSpec(
+                    concat(entry.family, ":", params, ":", seed), &error);
+                if (!spec) {
+                    ADD_FAILURE() << error;
+                    continue;
+                }
+                GeneratedScenario scenario = generateScenario(*spec);
+                programs.push_back(
+                    parseProgram(scenario.source, scenario.name));
+            }
+            more = false;
+            for (std::size_t g = entry.grid.size(); g-- > 0 && !more;) {
+                more = ++digit[g] < entry.grid[g].second.size();
+                if (!more)
+                    digit[g] = 0;
+            }
+        }
+    }
+    return programs;
+}
+
 TEST(LintRules, RegisterPressureNote)
 {
     // The "shal" suite workload needs 84 registers at its
@@ -341,6 +381,57 @@ TEST(LintRules, RegisterPressureNote)
     EXPECT_EQ(findings[0].severity, LintSeverity::Note);
     EXPECT_NE(findings[0].message.find("registers"), std::string::npos);
     EXPECT_NE(findings[0].message.find("settles"), std::string::npos);
+
+    // UJ014 searches one table build twice. Its findings must equal
+    // the two-build reference: two full chooseUnrollAmounts runs with
+    // the rule's own config, register limit off and then on.
+    std::vector<Program> programs;
+    for (const SuiteLoop &loop : testSuite())
+        programs.push_back(loadSuiteProgram(loop));
+    for (Program &scenario : defaultSweepPrograms())
+        programs.push_back(std::move(scenario));
+    ASSERT_EQ(programs.size(), 19u + 56u);
+
+    const MachineModel machine = alpha();
+    LintOptions options;
+    options.maxUnroll = 8;
+    std::size_t second_builds = 0;
+    for (const Program &source : programs) {
+        std::map<std::size_t, std::string> got;
+        for (const LintDiagnostic &diag :
+             findingsFor(lintProgram(source, machine, options), "UJ014"))
+            got[diag.nestIndex] = diag.message;
+
+        std::map<std::size_t, std::string> want;
+        for (std::size_t n = 0; n < source.nests().size(); ++n) {
+            const LoopNest &nest = source.nests()[n];
+            if (nest.depth() < 2 || !nest.allRefsAnalyzable())
+                continue;
+            OptimizerConfig config;
+            config.maxUnroll = options.maxUnroll;
+            config.limitRegisters = false;
+            UnrollDecision unlimited =
+                chooseUnrollAmounts(nest, machine, config);
+            if (!unlimited.transforms() ||
+                unlimited.registers <= machine.fpRegisters)
+                continue;
+            ++second_builds;
+            config.limitRegisters = true;
+            UnrollDecision limited =
+                chooseUnrollAmounts(nest, machine, config);
+            if (limited.unroll == unlimited.unroll)
+                continue;
+            want[n] = concat(
+                "the balance-optimal unroll ", unlimited.unroll.toString(),
+                " needs ", unlimited.registers,
+                " registers but the machine has ", machine.fpRegisters,
+                "; the search settles for ", limited.unroll.toString(),
+                " (", limited.registers, " registers)");
+        }
+        EXPECT_EQ(got, want) << source.sourceName();
+    }
+    // The limit-on search must be exercised, not just the early exit.
+    EXPECT_GT(second_builds, 0u);
 }
 
 // --- dataflow-powered rules (UJ015..UJ022) --------------------------

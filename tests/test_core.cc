@@ -14,8 +14,10 @@
 #include "baseline/brute_force.hh"
 #include "core/optimizer.hh"
 #include "parser/parser.hh"
+#include "scenarios/scenario.hh"
 #include "support/diagnostics.hh"
 #include "support/rng.hh"
+#include "workloads/suite.hh"
 
 namespace ujam
 {
@@ -403,6 +405,82 @@ end do
 }
 
 // --- optimizer -----------------------------------------------------------
+
+/** Expect equal tables at u (every per-UGS and every total cell). */
+void
+expectSameCells(const NestTables &a, const NestTables &b,
+                const IntVector &u, const std::string &what)
+{
+    ASSERT_EQ(a.perUgs.size(), b.perUgs.size()) << what;
+    for (std::size_t s = 0; s < a.perUgs.size(); ++s) {
+        const UgsTables &x = a.perUgs[s];
+        const UgsTables &y = b.perUgs[s];
+        EXPECT_EQ(x.groupTemporal.at(u), y.groupTemporal.at(u)) << what;
+        EXPECT_EQ(x.groupSpatial.at(u), y.groupSpatial.at(u)) << what;
+        EXPECT_EQ(x.rrs.at(u), y.rrs.at(u)) << what;
+        EXPECT_EQ(x.registers.at(u), y.registers.at(u)) << what;
+    }
+    EXPECT_EQ(a.rrsTotal.at(u), b.rrsTotal.at(u)) << what;
+    EXPECT_EQ(a.registersTotal.at(u), b.registersTotal.at(u)) << what;
+}
+
+TEST(NestTables, CellsDependOnThePointAlone)
+{
+    // The analysis report prints its rows (amounts <= 4) from the
+    // tables the decision was built over. That is sound only if a cell
+    // is the same whatever box the tables cover, and if the larger
+    // space, filtered to the box, enumerates the box's points in the
+    // box's own order.
+    std::vector<Program> programs;
+    for (const SuiteLoop &loop : testSuite())
+        programs.push_back(loadSuiteProgram(loop));
+    for (const IScenarioGenerator *family : scenarioRegistry()) {
+        std::string error;
+        std::optional<ScenarioSpec> spec = parseScenarioSpec(
+            std::string(family->family()) + "::0", &error);
+        ASSERT_TRUE(spec.has_value()) << error;
+        GeneratedScenario scenario = generateScenario(*spec);
+        programs.push_back(parseProgram(scenario.source, scenario.name));
+    }
+
+    const MachineModel machine = MachineModel::decAlpha21064();
+    std::size_t boxes = 0;
+    for (const Program &program : programs) {
+        const LoopNest &nest = program.nests()[0];
+        if (nest.depth() < 2)
+            continue;
+        for (std::int64_t max_unroll : {4, 8}) {
+            OptimizerConfig config;
+            config.maxUnroll = max_unroll;
+            UnrollProblem problem = unrollProblem(nest, machine, config);
+            const UnrollSpace &space = problem.space;
+            std::vector<std::int64_t> limits;
+            for (std::int64_t limit : space.limits())
+                limits.push_back(std::min<std::int64_t>(4, limit));
+            UnrollSpace box(nest.depth(), space.dims(), limits);
+            NestTables full =
+                buildNestTables(nest, space, problem.localized);
+            NestTables shown = buildNestTables(nest, box, problem.localized);
+
+            std::vector<IntVector> filtered;
+            for (std::size_t i = 0; i < space.size(); ++i) {
+                IntVector u = space.vectorAt(i);
+                if (box.contains(u))
+                    filtered.push_back(u);
+            }
+            ASSERT_EQ(filtered.size(), box.size()) << program.sourceName();
+            for (std::size_t i = 0; i < box.size(); ++i) {
+                std::string what = concat(program.sourceName(), " at ",
+                                          max_unroll, " u=",
+                                          box.vectorAt(i).toString());
+                EXPECT_EQ(filtered[i], box.vectorAt(i)) << what;
+                expectSameCells(full, shown, box.vectorAt(i), what);
+            }
+            ++boxes;
+        }
+    }
+    EXPECT_GE(boxes, 2 * testSuite().size());
+}
 
 TEST(Optimizer, PaperIntroExampleOnBalancedMachine)
 {

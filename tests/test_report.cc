@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "parser/parser.hh"
 #include "report/report.hh"
+#include "support/string_utils.hh"
 #include "workloads/suite.hh"
 
 namespace ujam
@@ -74,6 +77,42 @@ TEST(Report, RendersForTheWholeSuite)
             program.nests()[0], MachineModel::decAlpha21064(), {},
             options);
         EXPECT_GT(report.size(), 100u) << loop.name;
+    }
+}
+
+/** @return The bL cell of the report's table row for u ("" if none). */
+std::string
+balanceCell(const std::string &report, const IntVector &u)
+{
+    std::istringstream lines(report);
+    const std::string row = padLeft(u.toString(), 12);
+    for (std::string line; std::getline(lines, line);) {
+        if (line.rfind(row, 0) == 0)
+            return line.substr(line.find_last_of(' ') + 1);
+    }
+    return "";
+}
+
+TEST(Report, BalanceColumnMatchesTheDecision)
+{
+    // The bL column prices each row as the search does, at the
+    // machine's line size: on the wide machine's 8-element lines the
+    // decision's row reads its predicted balance and the zero row the
+    // original balance.
+    MachineModel wide = MachineModel::wideIlp();
+    ReportOptions options;
+    options.maxUnrollShown = OptimizerConfig{}.maxUnroll; // every row
+    for (const SuiteLoop &loop : testSuite()) {
+        Program program = loadSuiteProgram(loop);
+        const LoopNest &nest = program.nests()[0];
+        std::string report = analysisReport(nest, wide, {}, options);
+        UnrollDecision decision = chooseUnrollAmounts(nest, wide);
+        EXPECT_EQ(balanceCell(report, decision.unroll),
+                  formatFixed(decision.predictedBalance, 3))
+            << loop.name;
+        EXPECT_EQ(balanceCell(report, IntVector(nest.depth())),
+                  formatFixed(decision.originalBalance, 3))
+            << loop.name;
     }
 }
 

@@ -131,6 +131,33 @@ TEST(SuiteDecisions, TableBruteForceAndDepBasedAgree)
         // And the dependence-based method had to pay for its graph.
         EXPECT_GE(deps.graphBytes, deps.graphBytesNoInput) << loop.name;
     }
+
+    // The baselines search the table method's space: with i's trip of
+    // 3 the range pre-filter drops the distance-3 flow dependence, so
+    // i may unroll by 3. (Balances differ here -- the RRS table counts
+    // one memory operation fewer than the unrolled body -- so compare
+    // vectors only.)
+    LoopNest pruned = parseSingleNest(R"(
+do i = 1, 3
+  do j = 2, 30
+    a(i + 3, j - 1) = a(i, j) + b(j, i)
+  end do
+end do
+)");
+    for (const MachineModel &machine :
+         {MachineModel::decAlpha21064(), MachineModel::hpPa7100()}) {
+        OptimizerConfig config;
+        config.maxUnroll = 3;
+        UnrollDecision table = chooseUnrollAmounts(pruned, machine, config);
+        EXPECT_EQ(table.unroll, (IntVector{3, 0})) << machine.name;
+        EXPECT_EQ(bruteForceChooseUnroll(pruned, machine, config).unroll,
+                  table.unroll)
+            << machine.name;
+        EXPECT_EQ(depBasedChooseUnroll(pruned, machine, config)
+                      .decision.unroll,
+                  table.unroll)
+            << machine.name;
+    }
 }
 
 class DecisionAgreement : public ::testing::TestWithParam<int>
