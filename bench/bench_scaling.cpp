@@ -13,9 +13,10 @@
  *   - suite_pipeline:  optimizeProgram over the 19 Table-2 loops,
  *                      serial vs. parallel per-nest fan-out.
  *   - table_build:     buildNestTables wall time vs. unroll-space
- *                      size on the deepest suite nest (the kernels
- *                      rewritten from per-point decode scans to
- *                      stride walks).
+ *                      size on the deepest suite nest (two unrolled
+ *                      dims) and on a 4-deep nest (three), which
+ *                      tracks how the register table's row sweep
+ *                      grows with points.
  *
  * Every section reports the median of repeated runs.
  */
@@ -27,6 +28,7 @@
 #include "bench_json.hh"
 #include "core/tables.hh"
 #include "driver/driver.hh"
+#include "parser/parser.hh"
 #include "support/json.hh"
 #include "support/thread_pool.hh"
 #include "support/timing.hh"
@@ -131,42 +133,64 @@ main()
 
     // --- table construction vs. unroll-space size ------------------------
     {
-        // The deepest suite nest exercises the multi-dim odometer
-        // paths; sweep the per-dim limit so the space grows
-        // quadratically, the regime where the pre-rewrite per-point
-        // rescans were quadratic-plus.
+        // One row per limit: the space over dims grows as limit^|dims|.
+        auto sweep = [&](const LoopNest &nest,
+                         const std::vector<std::size_t> &dims,
+                         const std::vector<std::int64_t> &limits) {
+            Subspace localized =
+                Subspace::coordinate(nest.depth(), {nest.depth() - 1});
+            json.beginArray();
+            for (std::int64_t limit : limits) {
+                UnrollSpace space(nest.depth(), dims, limit);
+                double t = medianSeconds(3, [&] {
+                    NestTables tables =
+                        buildNestTables(nest, space, localized);
+                    if (tables.perUgs.empty())
+                        std::fprintf(stderr, "unexpected empty tables\n");
+                });
+                json.beginObject();
+                json.field("limit", limit);
+                json.field("points", std::uint64_t(space.size()));
+                json.key("seconds").valueFixed(t, 6);
+                json.endObject();
+            }
+            json.endArray();
+        };
+
+        // The deepest suite nest over its two outer loops.
         const LoopNest *deepest = nullptr;
         Program program = wholeSuiteProgram();
         for (const LoopNest &nest : program.nests()) {
             if (!deepest || nest.depth() > deepest->depth())
                 deepest = &nest;
         }
-        Subspace localized =
-            Subspace::coordinate(deepest->depth(),
-                                 {deepest->depth() - 1});
         std::vector<std::size_t> dims;
         for (std::size_t k = 0; k + 1 < deepest->depth() && k < 2; ++k)
             dims.push_back(k);
 
+        // A 4-deep nest over its three outer loops, where the register
+        // table's rows are slabs of a 2-dim sub-box.
+        LoopNest four_deep = parseSingleNest(R"(
+do i = 1, 16
+  do j = 1, 16
+    do k = 1, 16
+      do l = 1, 16
+        a(i, j, k, l) = b(i, j, k, l) + b(i, j + 1, k, l) + b(i, j, k + 1, l) + b(i, j, k, l + 1)
+      end do
+    end do
+  end do
+end do
+)");
+
         json.key("table_build").beginObject();
         json.field("nest_depth", std::uint64_t(deepest->depth()));
-        json.key("sweep").beginArray();
-        const std::vector<std::int64_t> limits = {4, 8, 16, 32, 64};
-        for (std::int64_t limit : limits) {
-            UnrollSpace space(deepest->depth(), dims, limit);
-            double t = medianSeconds(3, [&] {
-                NestTables tables =
-                    buildNestTables(*deepest, space, localized);
-                if (tables.perUgs.empty())
-                    std::fprintf(stderr, "unexpected empty tables\n");
-            });
-            json.beginObject();
-            json.field("limit", limit);
-            json.field("points", std::uint64_t(space.size()));
-            json.key("seconds").valueFixed(t, 6);
-            json.endObject();
-        }
-        json.endArray();
+        json.key("sweep");
+        sweep(*deepest, dims, {4, 8, 16, 32, 64});
+        json.key("sweep_3d").beginObject();
+        json.field("nest_depth", std::uint64_t(four_deep.depth()));
+        json.key("sweep");
+        sweep(four_deep, {0, 1, 2}, {4, 8, 16});
+        json.endObject();
         json.endObject();
     }
 

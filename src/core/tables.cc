@@ -130,46 +130,49 @@ computeRegisterTable(const UniformlyGeneratedSet &ugs,
         }
     }
 
-    // For each unroll vector: union copies (r, u') along merge edges,
-    // then charge each chain its merged phase span plus one.
-    //
-    // The copies of a point u are the offsets u' <= u: the sub-box of
-    // the space below u. Enumerate it directly from the space's
-    // mixed-radix strides (an odometer over digits) instead of
-    // re-scanning and decoding all npoints per point, and resolve
-    // merge origins by flat index arithmetic -- the merge shift is a
-    // fixed nonnegative vector on the unrolled dims, so subtracting
-    // its dot product with the strides lands on indexOf(u' - shift).
+    // Fill the table one row at a time, in dense-index order. A row
+    // fixes the slower digits at p and walks the fastest digit t from
+    // 0 to its limit; the copies of cell (p, t) are the box
+    // {(r, (p', t')) : p' <= p, t' <= t}. A merge shift is a fixed
+    // nonnegative vector on the unrolled dims, so an edge from a copy
+    // at fast digit t lands at fast digit <= t, on the flat index
+    // found by subtracting the shift's dot product with the strides.
+    // Hence box(p, t) is box(p, t - 1) plus the slab of copies at
+    // (p', t), and its chains are box(p, t - 1)'s chains after the
+    // slab's unions: union-find carries along the row, a running sum
+    // of chain spans gives each cell, and only a new row resets it.
+    // With two unrolled dims (slow limit L0) that is
+    // points * (L0 + 2) / 2 copy visits.
     const std::size_t npoints = space.size();
     const std::vector<std::size_t> &dims = space.dims();
     const std::vector<std::size_t> &strides = space.strides();
     const std::vector<std::int64_t> &limits = space.limits();
-    const std::size_t ndims = dims.size();
+    const std::size_t nslow = dims.empty() ? 0 : dims.size() - 1;
+    const std::int64_t fast_limit = dims.empty() ? 0 : limits.back();
 
     struct FlatEdge
     {
         std::size_t absorber;
         std::size_t indexDelta;
-        std::vector<std::int64_t> digits; // shift on dims, per dim
+        std::int64_t fast;              // shift on the fastest dim
+        std::vector<std::int64_t> slow; // shift on the slower dims
     };
     std::vector<std::vector<FlatEdge>> flat(nsets);
     for (std::size_t k = 0; k < nsets; ++k) {
         for (const MergeEdge &edge : edges[k]) {
-            FlatEdge fe;
-            fe.absorber = edge.absorber;
-            fe.indexDelta = 0;
-            fe.digits.resize(ndims);
-            for (std::size_t d = 0; d < ndims; ++d) {
-                fe.digits[d] = edge.shift[dims[d]];
-                fe.indexDelta +=
-                    static_cast<std::size_t>(fe.digits[d]) * strides[d];
+            FlatEdge fe{edge.absorber, 0, 0, {}};
+            for (std::size_t d = 0; d < dims.size(); ++d) {
+                std::int64_t digit = edge.shift[dims[d]];
+                fe.indexDelta += static_cast<std::size_t>(digit) * strides[d];
+                if (d < nslow)
+                    fe.slow.push_back(digit);
+                else
+                    fe.fast = digit;
             }
             flat[k].push_back(std::move(fe));
         }
     }
 
-    // Union-find arrays allocated once; each point touches only its
-    // copy sub-box, so per-point work is O(nsets * |sub-box|).
     std::vector<std::size_t> parent(nsets * npoints);
     std::vector<std::int64_t> lo(nsets * npoints), hi(nsets * npoints);
 
@@ -180,93 +183,81 @@ computeRegisterTable(const UniformlyGeneratedSet &ugs,
         }
         return x;
     };
+    auto span = [&](std::size_t root) { return hi[root] - lo[root] + 1; };
 
-    std::vector<std::int64_t> udig(ndims, 0), cdig(ndims);
-    std::vector<std::size_t> copy_index;
-    std::vector<std::int64_t> copy_digits; // ndims digits per copy
+    // The current row's slower digits, and its slab template: the
+    // sub-box p' <= p as dense indices at t = 0 plus their digits.
+    std::vector<std::int64_t> row(nslow, 0), cdig(nslow);
+    std::vector<std::size_t> slab_index;
+    std::vector<std::int64_t> slab_digits; // nslow digits per copy
+    const std::size_t row_size = static_cast<std::size_t>(fast_limit) + 1;
 
-    for (std::size_t ui = 0; ui < npoints; ++ui) {
-        copy_index.clear();
-        copy_digits.clear();
-        if (ndims == 0) {
-            copy_index.push_back(0);
-        } else {
-            std::fill(cdig.begin(), cdig.end(), 0);
-            std::size_t ci = 0;
-            for (;;) {
-                copy_index.push_back(ci);
-                copy_digits.insert(copy_digits.end(), cdig.begin(),
-                                   cdig.end());
-                std::size_t d = ndims;
-                bool wrapped = false;
-                for (;;) {
-                    if (d == 0) {
-                        wrapped = true;
-                        break;
-                    }
-                    --d;
-                    if (cdig[d] < udig[d]) {
-                        ++cdig[d];
-                        ci += strides[d];
-                        break;
-                    }
-                    ci -= static_cast<std::size_t>(cdig[d]) * strides[d];
-                    cdig[d] = 0;
-                }
-                if (wrapped)
-                    break;
+    for (std::size_t base = 0; base < npoints; base += row_size) {
+        slab_index.clear();
+        slab_digits.clear();
+        std::fill(cdig.begin(), cdig.end(), 0);
+        std::size_t ci = 0;
+        for (;;) {
+            slab_index.push_back(ci);
+            slab_digits.insert(slab_digits.end(), cdig.begin(), cdig.end());
+            std::size_t d = nslow;
+            while (d > 0 && cdig[d - 1] == row[d - 1]) {
+                --d;
+                ci -= static_cast<std::size_t>(cdig[d]) * strides[d];
+                cdig[d] = 0;
             }
+            if (d == 0)
+                break;
+            ++cdig[d - 1];
+            ci += strides[d - 1];
         }
 
-        for (std::size_t r = 0; r < nsets; ++r) {
-            for (std::size_t ci : copy_index) {
-                std::size_t id = r * npoints + ci;
-                parent[id] = id;
-                lo[id] = phase_lo[r];
-                hi[id] = phase_hi[r];
-            }
-        }
-        for (std::size_t r = 0; r < nsets; ++r) {
-            for (std::size_t c = 0; c < copy_index.size(); ++c) {
-                std::size_t ci = copy_index[c];
-                const std::int64_t *cd = copy_digits.data() + c * ndims;
-                for (const FlatEdge &edge : flat[r]) {
-                    bool applies = true;
-                    for (std::size_t d = 0; d < ndims; ++d) {
-                        if (edge.digits[d] > cd[d]) {
-                            applies = false;
-                            break;
-                        }
-                    }
-                    if (!applies)
-                        continue;
-                    std::size_t a = find(r * npoints + ci);
-                    std::size_t b = find(edge.absorber * npoints +
-                                         (ci - edge.indexDelta));
-                    if (a == b)
-                        continue;
-                    parent[a] = b;
-                    lo[b] = std::min(lo[b], lo[a]);
-                    hi[b] = std::max(hi[b], hi[a]);
-                }
-            }
-        }
         std::int64_t registers = 0;
-        for (std::size_t r = 0; r < nsets; ++r) {
-            for (std::size_t ci : copy_index) {
-                std::size_t id = r * npoints + ci;
-                if (find(id) == id)
-                    registers += hi[id] - lo[id] + 1;
+        for (std::int64_t t = 0; t <= fast_limit; ++t) {
+            // The fastest digit has stride 1. Add the whole slab
+            // before any union: an edge with no fast shift lands on it.
+            const auto offset = static_cast<std::size_t>(t);
+            for (std::size_t r = 0; r < nsets; ++r) {
+                for (std::size_t c : slab_index) {
+                    std::size_t id = r * npoints + c + offset;
+                    parent[id] = id;
+                    lo[id] = phase_lo[r];
+                    hi[id] = phase_hi[r];
+                    registers += span(id);
+                }
             }
+            for (std::size_t r = 0; r < nsets; ++r) {
+                for (std::size_t c = 0; c < slab_index.size(); ++c) {
+                    std::size_t ci = slab_index[c] + offset;
+                    const std::size_t first = c * nslow;
+                    for (const FlatEdge &edge : flat[r]) {
+                        bool applies = edge.fast <= t;
+                        for (std::size_t d = 0; applies && d < nslow; ++d)
+                            applies = edge.slow[d] <= slab_digits[first + d];
+                        if (!applies)
+                            continue;
+                        std::size_t a = find(r * npoints + ci);
+                        std::size_t b = find(edge.absorber * npoints +
+                                             (ci - edge.indexDelta));
+                        if (a == b)
+                            continue;
+                        registers -= span(a) + span(b);
+                        parent[a] = b;
+                        lo[b] = std::min(lo[b], lo[a]);
+                        hi[b] = std::max(hi[b], hi[a]);
+                        registers += span(b);
+                    }
+                }
+            }
+            table.atIndex(base + offset) = registers;
         }
-        table.atIndex(ui) = registers;
 
-        for (std::size_t d = ndims; d-- > 0;) {
-            if (udig[d] < limits[d]) {
-                ++udig[d];
+        for (std::size_t d = nslow; d-- > 0;) {
+            if (row[d] < limits[d]) {
+                ++row[d];
                 break;
             }
-            udig[d] = 0;
+            row[d] = 0;
         }
     }
     return table;

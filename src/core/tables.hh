@@ -89,6 +89,12 @@ NestTables buildNestTables(const LoopNest &nest, const UnrollSpace &space,
  * Chains are the connected components of RRS copies under the merge
  * points; each chain needs its touch-phase span plus one registers.
  * Computed from precomputed absorption points only.
+ *
+ * Filled by a row sweep in dense-index order: each row of slower
+ * digits starts a fresh union-find, and each step of the fastest
+ * digit adds one slab of copies and unions it, keeping a running sum
+ * of chain spans. Work is points * (L0 + 2) / 2 copy visits with two
+ * unrolled dims (L0 the slower limit); memory is nsets * points.
  */
 UnrollTable computeRegisterTable(const UniformlyGeneratedSet &ugs,
                                  const RrsAnalysis &rrs,

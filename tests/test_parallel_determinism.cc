@@ -8,9 +8,12 @@
  * byte-identical output. These tests run the pipeline, the
  * brute-force baseline and the corpus census at 1, 2 and N threads
  * and compare outputs exactly. The table-kernel regressions pin the
- * stride-walk rewrites of addBox, prefixSum and
- * computeRegisterTable against straightforward reference
- * implementations (the pre-rewrite algorithms) on the Table-2 suite.
+ * stride-walk rewrites of addBox and prefixSum against
+ * straightforward reference implementations (the pre-rewrite
+ * algorithms). The seed computeRegisterTable, which rebuilt
+ * union-find over the whole copy box for every point, is the oracle
+ * for the row sweep that replaced it, compared cell for cell over
+ * the suite, every scenario family and 1- to 3-dim spaces.
  */
 
 #include <gtest/gtest.h>
@@ -30,6 +33,7 @@
 #include "ir/printer.hh"
 #include "linalg/merge_solver.hh"
 #include "parser/parser.hh"
+#include "scenarios/scenario.hh"
 #include "support/rng.hh"
 #include "support/thread_pool.hh"
 #include "transform/unroll_and_jam.hh"
@@ -370,8 +374,9 @@ TEST(TableKernels, PrefixSumMatchesReference)
 
 /**
  * The pre-rewrite computeRegisterTable (the seed implementation,
- * verbatim modulo formatting): per-point re-scan of all npoints to
- * find the copy sub-box, vectorAt/indexOf per element.
+ * verbatim modulo formatting): per point, re-scan all npoints to find
+ * the copy sub-box, vectorAt/indexOf per element, and rebuild
+ * union-find over that box from scratch.
  */
 UnrollTable
 referenceRegisterTable(const UniformlyGeneratedSet &ugs,
@@ -506,33 +511,122 @@ referenceRegisterTable(const UniformlyGeneratedSet &ugs,
     return table;
 }
 
-TEST(TableKernels, RegisterTableMatchesPreRewriteOnSuite)
+/**
+ * The register-table oracle's inputs: every nest of every suite loop,
+ * one program per scenario family at seeds 0 and 1, two 4-deep nests
+ * (3-dim spaces; the second has invariant references that absorb
+ * along every unrolled dim), and the range-pruned nest whose unrolled
+ * body the RRS table under-counts.
+ */
+std::vector<Program>
+registerTablePrograms()
 {
-    std::size_t compared_tables = 0;
-    for (const SuiteLoop &loop : testSuite()) {
-        Program program = loadSuiteProgram(loop);
-        const LoopNest &nest = program.nests().front();
-        if (nest.depth() < 2)
-            continue;
-        std::vector<std::size_t> dims;
-        for (std::size_t k = 0; k + 1 < nest.depth() && k < 2; ++k)
-            dims.push_back(k);
-        UnrollSpace space(nest.depth(), dims, 6);
-        for (const UniformlyGeneratedSet &ugs :
-             partitionUGS(nest.accesses())) {
-            if (!ugs.analyzable())
-                continue;
-            RrsAnalysis rrs = computeRegisterReuseSets(ugs);
-            UnrollTable fast = computeRegisterTable(ugs, rrs, space);
-            UnrollTable slow = referenceRegisterTable(ugs, rrs, space);
-            for (std::size_t i = 0; i < space.size(); ++i)
-                EXPECT_EQ(fast.atIndex(i), slow.atIndex(i))
-                    << loop.name << " index " << i;
-            ++compared_tables;
+    std::vector<Program> programs;
+    for (const SuiteLoop &loop : testSuite())
+        programs.push_back(loadSuiteProgram(loop));
+    for (const IScenarioGenerator *family : scenarioRegistry()) {
+        for (const char *seed : {"0", "1"}) {
+            std::string error;
+            std::optional<ScenarioSpec> spec = parseScenarioSpec(
+                std::string(family->family()) + "::" + seed, &error);
+            if (!spec)
+                throw std::runtime_error(error);
+            GeneratedScenario scenario = generateScenario(*spec);
+            programs.push_back(
+                parseProgram(scenario.source, scenario.name));
         }
     }
-    // The suite must actually exercise the kernel.
-    EXPECT_GE(compared_tables, 19u);
+    programs.push_back(parseProgram(R"(
+do i = 1, 16
+  do j = 1, 16
+    do k = 1, 16
+      do l = 1, 16
+        a(i, j, k, l) = b(i, j, k, l) + b(i, j + 1, k, l) + b(i, j, k + 1, l) + b(i, j, k, l + 1)
+      end do
+    end do
+  end do
+end do
+)",
+                                    "four-deep"));
+    programs.push_back(parseProgram(R"(
+do i = 1, 12
+  do j = 1, 12
+    do k = 1, 12
+      do l = 1, 12
+        a(i, j, k, l) = a(i, j - 1, k, l) + a(i - 1, j, k + 1, l) + c(j, l) + c(k, l)
+      end do
+    end do
+  end do
+end do
+)",
+                                    "four-deep-invariant"));
+    programs.push_back(parseProgram(R"(
+do i = 1, 3
+  do j = 2, 30
+    a(i + 3, j - 1) = a(i, j) + b(j, i)
+  end do
+end do
+)",
+                                    "range-pruned"));
+    return programs;
+}
+
+TEST(TableKernels, RegisterTableMatchesPreRewriteOnSuite)
+{
+    // One, two and three unrolled dims, unequal limits (zero too), and
+    // dims out of nest order. Spaces stay small (limits <= 8, at most
+    // 105 points): the oracle is quadratic in points, and this test
+    // must stay well under a second in a sanitizer Debug build.
+    struct Shape
+    {
+        std::vector<std::size_t> dims;
+        std::vector<std::int64_t> limits;
+    };
+    const std::vector<Shape> shapes = {
+        {{0}, {8}},
+        {{1}, {5}},
+        {{0, 1}, {6, 6}},
+        {{0, 1}, {6, 4}},
+        {{0, 1}, {5, 3}},
+        {{1, 0}, {0, 4}},
+        {{1, 0}, {7, 2}},
+        {{0, 1, 2}, {4, 2, 6}},
+        {{2, 0, 1}, {0, 4, 2}},
+        {{1, 2, 0}, {3, 2, 4}},
+    };
+    std::size_t compared_tables = 0, three_dim_tables = 0;
+    for (const Program &program : registerTablePrograms()) {
+        for (const LoopNest &nest : program.nests()) {
+            for (const Shape &shape : shapes) {
+                bool fits = std::all_of(
+                    shape.dims.begin(), shape.dims.end(),
+                    [&](std::size_t dim) { return dim + 1 < nest.depth(); });
+                if (!fits)
+                    continue;
+                UnrollSpace space(nest.depth(), shape.dims, shape.limits);
+                for (const UniformlyGeneratedSet &ugs :
+                     partitionUGS(nest.accesses())) {
+                    if (!ugs.analyzable())
+                        continue;
+                    RrsAnalysis rrs = computeRegisterReuseSets(ugs);
+                    UnrollTable fast = computeRegisterTable(ugs, rrs, space);
+                    UnrollTable slow =
+                        referenceRegisterTable(ugs, rrs, space);
+                    for (std::size_t i = 0; i < space.size(); ++i)
+                        ASSERT_EQ(fast.atIndex(i), slow.atIndex(i))
+                            << program.sourceName() << " "
+                            << nest.name() << " dims "
+                            << shape.dims.size() << " index " << i;
+                    ++compared_tables;
+                    if (shape.dims.size() == 3)
+                        ++three_dim_tables;
+                }
+            }
+        }
+    }
+    // The inputs must actually exercise the kernel, 3-dim rows too.
+    EXPECT_GE(compared_tables, 200u);
+    EXPECT_GE(three_dim_tables, 12u);
 }
 
 TEST(TableKernels, NestTablesUnchangedBySpaceShape)
