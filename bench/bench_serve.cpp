@@ -16,17 +16,8 @@
  * cold ones (the service's core contract), and the report includes
  * the resulting speedups. Exit status 1 if any response differs or
  * the warm path fails to reach a 5x speedup.
- *
- * A second section sweeps the supervised socket service over worker
- * counts 1/2/4 against the disk cache the batch runs left behind:
- * for each count a supervisor is forked, four concurrent clients
- * each replay the whole suite over the socket, and the report
- * records throughput and mean/max per-request latency. This is the
- * number the `--workers N` flag is buying (or not buying) on a
- * cache-served workload.
  */
 
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -35,13 +26,10 @@
 #include <filesystem>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_json.hh"
-#include "service/client.hh"
 #include "service/server.hh"
-#include "service/supervisor.hh"
 #include "support/json.hh"
 #include "workloads/suite.hh"
 
@@ -80,105 +68,6 @@ timedBatch(UjamServer &server, const std::string &input)
     auto stop = std::chrono::steady_clock::now();
     return {std::chrono::duration<double>(stop - start).count(),
             out.str()};
-}
-
-/** One worker-count sweep point over the socket service. */
-struct SweepPoint
-{
-    std::size_t workers = 0;
-    std::size_t clients = 0;
-    std::size_t requests = 0; //!< answered ok across all clients
-    std::size_t failures = 0; //!< empty or non-ok responses
-    double seconds = 0.0;
-    double meanLatencyMs = 0.0;
-    double maxLatencyMs = 0.0;
-};
-
-/**
- * Fork a supervised service with @p workers workers on the warm
- * @p cache_dir, replay the suite from @p clients concurrent socket
- * clients, and drain the service with a `shutdown` frame.
- */
-SweepPoint
-sweepWorkers(std::size_t workers, std::size_t clients,
-             const std::string &cache_dir)
-{
-    std::string socket_path =
-        std::filesystem::temp_directory_path().string() +
-        "/ujam-bench-sweep-" + std::to_string(getpid()) + "-" +
-        std::to_string(workers) + ".sock";
-
-    SupervisorConfig config;
-    config.server.socketPath = socket_path;
-    config.server.cacheDir = cache_dir;
-    config.workers = workers;
-    pid_t pid = ::fork();
-    if (pid == 0) {
-        Supervisor supervisor(std::move(config));
-        ::_exit(supervisor.run());
-    }
-
-    std::vector<std::string> lines;
-    {
-        std::istringstream in(suiteBatchInput());
-        for (std::string line; std::getline(in, line);)
-            lines.push_back(line);
-    }
-
-    SweepPoint point;
-    point.workers = workers;
-    point.clients = clients;
-    std::vector<std::thread> threads;
-    std::vector<SweepPoint> partial(clients);
-    auto start = std::chrono::steady_clock::now();
-    for (std::size_t c = 0; c < clients; ++c) {
-        threads.emplace_back([&, c] {
-            ServeClient client;
-            if (!client.connect(socket_path, 5000))
-                return;
-            for (const std::string &line : lines) {
-                auto sent = std::chrono::steady_clock::now();
-                std::string response =
-                    client.requestWithRetry(line, 3, 10000);
-                double ms =
-                    std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - sent)
-                        .count();
-                if (response.find("\"status\": \"ok\"") ==
-                    std::string::npos) {
-                    ++partial[c].failures;
-                    continue;
-                }
-                ++partial[c].requests;
-                partial[c].meanLatencyMs += ms;
-                partial[c].maxLatencyMs =
-                    std::max(partial[c].maxLatencyMs, ms);
-            }
-        });
-    }
-    for (std::thread &thread : threads)
-        thread.join();
-    point.seconds = std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
-    double latency_sum = 0.0;
-    for (const SweepPoint &part : partial) {
-        point.requests += part.requests;
-        point.failures += part.failures;
-        latency_sum += part.meanLatencyMs; // still a sum here
-        point.maxLatencyMs =
-            std::max(point.maxLatencyMs, part.maxLatencyMs);
-    }
-    if (point.requests > 0)
-        point.meanLatencyMs =
-            latency_sum / static_cast<double>(point.requests);
-
-    ServeClient closer;
-    if (closer.connect(socket_path, 2000))
-        closer.request("{\"op\": \"shutdown\"}", 5000);
-    int status = 0;
-    ::waitpid(pid, &status, 0);
-    return point;
 }
 
 } // namespace
@@ -247,13 +136,6 @@ main()
     double warm_speedup = warm_s > 0 ? cold_s / warm_s : 0.0;
     double disk_speedup = disk_s > 0 ? cold_s / disk_s : 0.0;
 
-    // The socket sweep reuses the disk cache the batch runs left in
-    // cache_dir, so it measures service overhead (accept, framing,
-    // cache probe) rather than pipeline compute.
-    std::vector<SweepPoint> sweep;
-    for (std::size_t workers : {1u, 2u, 4u})
-        sweep.push_back(sweepWorkers(workers, 4, cache_dir));
-
     JsonWriter json(2);
     json.beginObject();
     json.field("requests", std::uint64_t(requests));
@@ -269,27 +151,6 @@ main()
                restarted.metrics().cacheDiskHits.get());
     json.key("lint_cached_p50_us").valueFixed(lint_cached_p50_us, 1);
     json.key("tune_cached_p50_us").valueFixed(tune_cached_p50_us, 1);
-    json.key("worker_sweep").beginArray();
-    for (const SweepPoint &point : sweep) {
-        json.beginObject();
-        json.field("workers", std::uint64_t(point.workers));
-        json.field("clients", std::uint64_t(point.clients));
-        json.field("requests_ok", std::uint64_t(point.requests));
-        json.field("requests_failed",
-                   std::uint64_t(point.failures));
-        json.key("seconds").valueFixed(point.seconds, 6);
-        json.key("requests_per_second")
-            .valueFixed(point.seconds > 0
-                            ? static_cast<double>(point.requests) /
-                                  point.seconds
-                            : 0.0,
-                        1);
-        json.key("mean_latency_ms")
-            .valueFixed(point.meanLatencyMs, 3);
-        json.key("max_latency_ms").valueFixed(point.maxLatencyMs, 3);
-        json.endObject();
-    }
-    json.endArray();
     json.endObject();
 
     std::printf("%s\n", json.str().c_str());
@@ -308,15 +169,6 @@ main()
                      "FAIL: warm speedup %.2f below 5x target\n",
                      warm_speedup);
         return 1;
-    }
-    for (const SweepPoint &point : sweep) {
-        if (point.failures > 0 || point.requests == 0) {
-            std::fprintf(stderr,
-                         "FAIL: worker sweep (workers=%zu) had %zu "
-                         "failed requests\n",
-                         point.workers, point.failures);
-            return 1;
-        }
     }
     return 0;
 }

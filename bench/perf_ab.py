@@ -18,12 +18,23 @@ read.
 
 For every end-to-end metric in BENCHMARK.json the report gives each
 side's median and quartiles, the change/parent ratio of the medians,
-and the pairs the change won (ties count for neither side). A metric
-reads as a gain when at least 10 pairs ran, the change won at least
-nine tenths of them, its median is better than the parent's by more
-than the parent's interquartile range, and the change failed no more
-operations than the parent. If a run fails, the pairs completed
-before it are reported and the script exits non-zero.
+the pairs the change won (ties count for neither side) and a verdict.
+The metric's "bound" times the parent's median is its allowance. The
+verdict is the first of these that holds:
+
+    worse       the change's median is worse than the parent's by more
+                than the allowance;
+    unresolved  either side's interquartile range is wider than the
+                allowance, and not every change run beats every parent
+                run;
+    gain        at least 10 pairs ran, the change won at least nine
+                tenths of them, its median is better than the parent's
+                by more than the parent's interquartile range, and the
+                change failed no more operations than the parent;
+    -           none of these: no regression past the bound, and no gain.
+
+If a run fails, the pairs completed before it are reported and the
+script exits non-zero.
 """
 
 import argparse
@@ -99,12 +110,21 @@ def report(metrics, seconds, parent, change):
         c1, cm, c3 = quartiles(c)
         wins = sum((b > a) if higher else (b < a) for a, b in zip(p, c))
         gap = (cm - pm) if higher else (pm - cm)
-        gain = (pairs >= 10 and wins * 10 >= pairs * 9 and gap > p3 - p1
-                and failed_change <= failed_parent)
+        allowance = metric["bound"] * abs(pm)
+        separated = min(c) > max(p) if higher else max(c) < min(p)
+        if -gap > allowance:
+            verdict = "worse"
+        elif max(p3 - p1, c3 - c1) > allowance and not separated:
+            verdict = "unresolved"
+        elif (pairs >= 10 and wins * 10 >= pairs * 9 and gap > p3 - p1
+              and failed_change <= failed_parent):
+            verdict = "gain"
+        else:
+            verdict = "-"
         ratio = cm / pm if pm else float("nan")
         print(f"{name:<18} {p1:9.3f} / {pm:9.3f} / {p3:9.3f} "
               f"{c1:9.3f} / {cm:9.3f} / {c3:9.3f} {ratio:6.3f} "
-              f"{wins:>3}/{pairs:<3} {'gain' if gain else '-'}")
+              f"{wins:>3}/{pairs:<3} {verdict}")
 
 
 def main():

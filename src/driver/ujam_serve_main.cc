@@ -16,7 +16,6 @@
  *     --cache-mem N      in-memory cache entries (default 256)
  *     --cache-max-bytes N  disk-cache byte budget; oldest entries are
  *                          evicted past it (default 0 = unbounded)
- *     --cache-shards N   disk-cache shard directories (default 1)
  *     --deadline-ms N    default deadline for requests without one
  *     --idle-timeout-ms N  close connections idle this long (0 = off)
  *     --dump-metrics     print the metrics document to stderr on exit
@@ -65,8 +64,7 @@ usage()
         "usage: ujam-serve --batch | --socket PATH | --client PATH "
         "[FILE]\n"
         "       [--threads N] [--queue N] [--cache-dir DIR]\n"
-        "       [--cache-mem N] [--cache-max-bytes N] "
-        "[--cache-shards N]\n"
+        "       [--cache-mem N] [--cache-max-bytes N]\n"
         "       [--deadline-ms N] [--idle-timeout-ms N] "
         "[--dump-metrics]\n"
         "       [--workers N] [--drain-ms N]\n"
@@ -154,9 +152,6 @@ main(int argc, char **argv)
         } else if (std::strcmp(arg, "--cache-max-bytes") == 0 &&
                    i + 1 < argc) {
             count(argv[++i], config.cacheMaxBytes);
-        } else if (std::strcmp(arg, "--cache-shards") == 0 &&
-                   i + 1 < argc) {
-            count(argv[++i], config.cacheShards);
         } else if (std::strcmp(arg, "--deadline-ms") == 0 &&
                    i + 1 < argc) {
             count(argv[++i], config.defaultDeadlineMs.emplace());

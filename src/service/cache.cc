@@ -202,8 +202,7 @@ entryHeader(const std::string &payload)
  * Parse + verify a raw entry file.
  *
  * @return The payload, or nothing when the file is truncated,
- * bit-flipped, headerless (e.g. a pre-shard legacy entry) or
- * otherwise not provably intact.
+ * bit-flipped, headerless or otherwise not provably intact.
  */
 std::optional<std::string>
 verifyEntry(const std::string &raw)
@@ -224,39 +223,13 @@ verifyEntry(const std::string &raw)
     return payload;
 }
 
-/** @return The shard a hex key's first byte routes to. */
-std::size_t
-shardOfKey(const std::string &key, std::size_t shards)
-{
-    unsigned byte = 0;
-    for (std::size_t i = 0; i < 2 && i < key.size(); ++i) {
-        char c = key[i];
-        unsigned nibble = (c >= '0' && c <= '9')   ? unsigned(c - '0')
-                          : (c >= 'a' && c <= 'f') ? unsigned(c - 'a' + 10)
-                          : (c >= 'A' && c <= 'F') ? unsigned(c - 'A' + 10)
-                                                   : 0u;
-        byte = byte * 16 + nibble;
-    }
-    return byte % shards;
-}
-
-std::string
-twoDigit(std::size_t n)
-{
-    std::string text = std::to_string(n);
-    return text.size() < 2 ? "0" + text : text;
-}
-
 } // namespace
 
 ResultCache::ResultCache(ResultCacheConfig config)
     : capacity_(config.memoryCapacity == 0 ? 1
                                            : config.memoryCapacity),
       diskDir_(std::move(config.diskDir)),
-      maxDiskBytes_(config.maxDiskBytes),
-      shards_(std::min(std::max<std::size_t>(config.shards, 1),
-                       kMaxCacheShards)),
-      counters_(config.counters)
+      maxDiskBytes_(config.maxDiskBytes), counters_(config.counters)
 {
     if (!counters_) {
         ownedCounters_ = std::make_unique<CacheCounters>();
@@ -280,12 +253,6 @@ ResultCache::ResultCache(std::size_t memory_capacity,
       }())
 {}
 
-std::size_t
-ResultCache::shardOf(const std::string &key) const
-{
-    return shardOfKey(key, shards_);
-}
-
 std::uint64_t
 ResultCache::diskEntryBytes(std::uint64_t payload_bytes)
 {
@@ -296,20 +263,12 @@ ResultCache::diskEntryBytes(std::uint64_t payload_bytes)
 }
 
 std::string
-ResultCache::shardDir(std::size_t shard) const
-{
-    return diskDir_ + "/shard-" + twoDigit(shard);
-}
-
-std::string
 ResultCache::diskPath(const std::string &key) const
 {
-    // Content-addressed layout:
-    // <dir>/shard-NN/<first two hex chars>/<key>. The shard is the
-    // resource/eviction domain; the two-hex fan-out below it keeps
-    // directories small under sustained traffic.
-    return shardDir(shardOf(key)) + "/" + key.substr(0, 2) + "/" +
-           key;
+    // Content-addressed layout: <dir>/<first two hex chars>/<key>.
+    // The two-hex fan-out keeps directories small under sustained
+    // traffic.
+    return diskDir_ + "/" + key.substr(0, 2) + "/" + key;
 }
 
 void
@@ -330,11 +289,11 @@ ResultCache::insertLocked(const std::string &key, std::string value)
 }
 
 void
-ResultCache::quarantine(const std::string &key, std::size_t shard)
+ResultCache::quarantine(const std::string &key)
 {
     namespace fs = std::filesystem;
     std::error_code ec;
-    fs::path held = fs::path(shardDir(shard)) / "quarantine" / key;
+    fs::path held = fs::path(diskDir_) / "quarantine" / key;
     fs::create_directories(held.parent_path(), ec);
     fs::rename(diskPath(key), held, ec);
     if (ec) {
@@ -343,7 +302,7 @@ ResultCache::quarantine(const std::string &key, std::size_t shard)
         // invariant is that a damaged entry never stays servable.
         fs::remove(diskPath(key), ec);
     }
-    counters_->shard[shard].diskQuarantined.add();
+    counters_->diskQuarantined.add();
 }
 
 std::optional<std::string>
@@ -364,7 +323,6 @@ ResultCache::get(const std::string &key, CacheTier *tier)
     if (diskDir_.empty())
         return std::nullopt;
 
-    std::size_t shard = shardOf(key);
     std::ifstream in(diskPath(key), std::ios::binary);
     if (!in)
         return std::nullopt;
@@ -378,7 +336,7 @@ ResultCache::get(const std::string &key, CacheTier *tier)
     // a client or a crash inside the JSON splice.
     std::optional<std::string> payload = verifyEntry(text.str());
     if (!payload) {
-        quarantine(key, shard);
+        quarantine(key);
         return std::nullopt;
     }
     std::string value = std::move(*payload);
@@ -395,7 +353,6 @@ ResultCache::get(const std::string &key, CacheTier *tier)
             diskPath(key),
             std::filesystem::file_time_type::clock::now(), ec);
     }
-    counters_->shard[shard].diskHits.add();
     if (tier)
         *tier = CacheTier::Disk;
     return value;
@@ -413,7 +370,6 @@ ResultCache::put(const std::string &key, const std::string &value)
 
     namespace fs = std::filesystem;
     std::error_code ec;
-    std::size_t shard = shardOf(key);
     std::string path = diskPath(key);
     fs::create_directories(fs::path(path).parent_path(), ec);
     if (ec)
@@ -448,7 +404,7 @@ ResultCache::put(const std::string &key, const std::string &value)
         fs::remove(temp, ec);
         return;
     }
-    counters_->shard[shard].diskStores.add();
+    counters_->diskStores.add();
 
     std::uint64_t serial =
         storeSerial_.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -468,23 +424,18 @@ ResultCache::put(const std::string &key, const std::string &value)
         }
         break;
     }
-    enforceDiskBudget(shard);
+    enforceDiskBudget();
 }
 
 void
-ResultCache::enforceDiskBudget(std::size_t shard)
+ResultCache::enforceDiskBudget()
 {
     if (maxDiskBytes_ == 0 || diskDir_.empty())
         return;
-    // Each shard owns an equal slice of the budget and sweeps
-    // independently, so workers hammering different shards never
-    // serialize on one store-wide scan.
-    std::uint64_t budget =
-        std::max<std::uint64_t>(maxDiskBytes_ / shards_, 1);
     namespace fs = std::filesystem;
-    // One sweep per shard at a time; concurrent inserts wait rather
-    // than race to delete the same files.
-    std::lock_guard<std::mutex> sweep(evictMutex_[shard]);
+    // One sweep at a time; concurrent inserts wait rather than race
+    // to delete the same files.
+    std::lock_guard<std::mutex> sweep(evictMutex_);
 
     struct DiskEntry
     {
@@ -495,7 +446,7 @@ ResultCache::enforceDiskBudget(std::size_t shard)
     std::vector<DiskEntry> entries;
     std::uint64_t total = 0;
     std::error_code ec;
-    for (auto dir = fs::directory_iterator(shardDir(shard), ec);
+    for (auto dir = fs::directory_iterator(diskDir_, ec);
          !ec && dir != fs::directory_iterator(); dir.increment(ec)) {
         // Keys live in two-hex fan-out subdirectories; quarantined
         // entries and in-flight .tmp-* writes are never touched.
@@ -521,7 +472,7 @@ ResultCache::enforceDiskBudget(std::size_t shard)
             total += size;
         }
     }
-    if (total <= budget)
+    if (total <= maxDiskBytes_)
         return;
 
     std::sort(entries.begin(), entries.end(),
@@ -529,12 +480,12 @@ ResultCache::enforceDiskBudget(std::size_t shard)
                   return a.mtime < b.mtime;
               });
     for (const DiskEntry &entry : entries) {
-        if (total <= budget)
+        if (total <= maxDiskBytes_)
             break;
         std::error_code remove_ec;
         if (fs::remove(entry.path, remove_ec) && !remove_ec) {
             total -= entry.size;
-            counters_->shard[shard].diskEvictions.add();
+            counters_->diskEvictions.add();
         }
     }
 }

@@ -16,27 +16,25 @@
  * optional on-disk store, safe for concurrent use from any number of
  * threads *and processes* (every disk mutation is an atomic rename).
  *
- * The disk tier is sharded by key prefix: entry files live under
- * <dir>/shard-NN/<two hex chars>/<key>, where NN is the first key
- * byte modulo the shard count. Shards are independent resource
- * domains -- each carries its own slice of the byte budget and its
- * own eviction sweep -- so multi-worker servers never contend on one
- * store-wide scan, and per-shard traffic is observable (CacheCounters
- * in the metrics document).
+ * The disk tier is one content-addressed directory: entry files live
+ * under <dir>/<first two hex chars>/<key>, and one byte budget covers
+ * the whole directory. Each put that lands a file sweeps the
+ * directory against the budget; one mutex serializes a cache's
+ * sweeps, and caches in other processes sweep without it, which is
+ * safe because a sweep only deletes files.
  *
  * Reads are corruption-tolerant. Every entry is stored with a header
  * naming the payload's size and SHA-256; a load that fails any check
  * (missing/garbled header, short file, digest mismatch) is treated as
- * a miss, and the damaged file is moved into the shard's quarantine/
- * directory (disk_quarantined metric) for postmortem instead of being
- * served or crashing the worker. The next store of the key simply
- * writes a fresh good entry.
+ * a miss, and the damaged file is moved into <dir>/quarantine/
+ * (disk_quarantined metric) for postmortem instead of being served or
+ * crashing the worker. The next store of the key simply writes a
+ * fresh good entry.
  */
 
 #ifndef UJAM_SERVICE_CACHE_HH
 #define UJAM_SERVICE_CACHE_HH
 
-#include <array>
 #include <atomic>
 #include <list>
 #include <memory>
@@ -94,14 +92,12 @@ struct ResultCacheConfig
 {
     std::size_t memoryCapacity = 256; //!< in-memory LRU entries
     std::string diskDir;              //!< "" = memory only
-    /** Total disk byte budget, split evenly across shards; 0 =
-     * unbounded. When a shard's slice overflows, its oldest entries
-     * (disk hits refresh write time, so oldest = least recently
-     * used) are evicted until the shard fits. */
+    /** Total disk byte budget; 0 = unbounded. When the directory
+     * overflows it, its oldest entries (disk hits refresh write
+     * time, so oldest = least recently used) are evicted until it
+     * fits. */
     std::uint64_t maxDiskBytes = 0;
-    /** Disk shard count, clamped to [1, kMaxCacheShards]. */
-    std::size_t shards = 1;
-    /** External per-shard counters (e.g. the server's shared-memory
+    /** External disk counters (e.g. the server's shared-memory
      * metrics block); null = the cache owns private counters. */
     CacheCounters *counters = nullptr;
     /** Active process-level fault specs; only cache_corrupt is
@@ -110,8 +106,8 @@ struct ResultCacheConfig
 };
 
 /**
- * Two-tier LRU + sharded persistent store mapping hex keys to result
- * text. See the file comment.
+ * Two-tier LRU + persistent store mapping hex keys to result text.
+ * See the file comment.
  */
 class ResultCache
 {
@@ -152,12 +148,6 @@ class ResultCache
     /** @return The configured disk byte budget (0 = unbounded). */
     std::uint64_t maxDiskBytes() const { return maxDiskBytes_; }
 
-    /** @return The configured disk shard count. */
-    std::size_t shards() const { return shards_; }
-
-    /** @return The shard index a key routes to. */
-    std::size_t shardOf(const std::string &key) const;
-
     /** @return The entry path for a key (for tests that damage it). */
     std::string diskPath(const std::string &key) const;
 
@@ -168,40 +158,34 @@ class ResultCache
      */
     static std::uint64_t diskEntryBytes(std::uint64_t payload_bytes);
 
-    /** @return The per-shard disk counters in use. */
-    const CacheCounters &counters() const { return *counters_; }
-
-    /** @return Disk entries evicted by the byte budget, all shards. */
+    /** @return Disk entries evicted by the byte budget. */
     std::uint64_t
     diskEvictions() const
     {
-        return counters_->total(&CacheShardCounters::diskEvictions);
+        return counters_->diskEvictions.get();
     }
 
-    /** @return Corrupt disk entries quarantined, all shards. */
+    /** @return Corrupt disk entries quarantined. */
     std::uint64_t
     diskQuarantined() const
     {
-        return counters_->total(&CacheShardCounters::diskQuarantined);
+        return counters_->diskQuarantined.get();
     }
 
   private:
-    std::string shardDir(std::size_t shard) const;
     void insertLocked(const std::string &key, std::string value);
-    /** Move a damaged entry into its shard's quarantine/ dir. */
-    void quarantine(const std::string &key, std::size_t shard);
-    void enforceDiskBudget(std::size_t shard);
+    /** Move a damaged entry into <dir>/quarantine/. */
+    void quarantine(const std::string &key);
+    void enforceDiskBudget();
 
     std::size_t capacity_;
     std::string diskDir_;
     std::uint64_t maxDiskBytes_;
-    std::size_t shards_;
     CacheCounters *counters_; //!< external or &ownedCounters_
     std::unique_ptr<CacheCounters> ownedCounters_;
     std::vector<ProcessFaultSpec> corruptFaults_;
     std::atomic<std::uint64_t> storeSerial_{0};
-    std::array<std::mutex, kMaxCacheShards>
-        evictMutex_; //!< serializes budget sweeps, per shard
+    std::mutex evictMutex_; //!< serializes budget sweeps
 
     mutable std::mutex mutex_;
     /** Most recent at the front. */

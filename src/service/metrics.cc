@@ -1,7 +1,5 @@
 #include "service/metrics.hh"
 
-#include <algorithm>
-
 #include "support/json.hh"
 
 namespace ujam
@@ -89,9 +87,6 @@ metricsJson(const ServiceMetrics &metrics, const CacheStats &cache,
     json.endObject();
 
     const CacheCounters &disk = metrics.cacheCounters;
-    std::size_t shards =
-        std::min<std::size_t>(std::max<std::size_t>(cache.shards, 1),
-                              kMaxCacheShards);
     json.key("cache").beginObject();
     json.field("memory_hits", metrics.cacheMemoryHits.get());
     json.field("disk_hits", metrics.cacheDiskHits.get());
@@ -100,23 +95,9 @@ metricsJson(const ServiceMetrics &metrics, const CacheStats &cache,
     json.field("bypassed", metrics.cacheBypassed.get());
     json.field("memory_entries", cache.memoryEntries);
     json.field("memory_capacity", cache.memoryCapacity);
-    json.field("disk_evictions",
-               disk.total(&CacheShardCounters::diskEvictions));
-    json.field("disk_quarantined",
-               disk.total(&CacheShardCounters::diskQuarantined));
-    json.field("shard_count", std::uint64_t(shards));
-    json.key("shards").beginArray();
-    for (std::size_t s = 0; s < shards; ++s) {
-        const CacheShardCounters &counters = disk.shard[s];
-        json.beginObject();
-        json.field("disk_hits", counters.diskHits.get());
-        json.field("disk_stores", counters.diskStores.get());
-        json.field("disk_evictions", counters.diskEvictions.get());
-        json.field("disk_quarantined",
-                   counters.diskQuarantined.get());
-        json.endObject();
-    }
-    json.endArray();
+    json.field("disk_stores", disk.diskStores.get());
+    json.field("disk_evictions", disk.diskEvictions.get());
+    json.field("disk_quarantined", disk.diskQuarantined.get());
     json.endObject();
 
     json.key("pipeline").beginObject();

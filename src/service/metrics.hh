@@ -97,31 +97,12 @@ class Counter
     std::atomic<std::uint64_t> value_{0};
 };
 
-/** Upper bound on disk-cache shards (see ResultCache). */
-constexpr std::size_t kMaxCacheShards = 16;
-
-/** Disk-tier counters for one cache shard. */
-struct CacheShardCounters
+/** Disk-tier counters (fixed-size: shareable). */
+struct CacheCounters
 {
-    Counter diskHits;
     Counter diskStores;
     Counter diskEvictions;   //!< removed by the byte budget
     Counter diskQuarantined; //!< corrupt entries moved aside
-};
-
-/** Disk-tier counters for every shard (fixed-size: shareable). */
-struct CacheCounters
-{
-    std::array<CacheShardCounters, kMaxCacheShards> shard;
-
-    std::uint64_t
-    total(Counter CacheShardCounters::*member) const
-    {
-        std::uint64_t sum = 0;
-        for (const CacheShardCounters &counters : shard)
-            sum += (counters.*member).get();
-        return sum;
-    }
 };
 
 /** Everything ujam-serve counts. */
@@ -158,7 +139,7 @@ struct ServiceMetrics
     Counter cacheMisses;
     Counter cacheStores;
     Counter cacheBypassed; //!< requests sent with "no_cache"
-    /** Per-shard disk-tier counters, written by the ResultCache. */
+    /** Disk-tier counters, written by the ResultCache. */
     CacheCounters cacheCounters;
 
     // --- connections ---
@@ -182,7 +163,6 @@ struct CacheStats
 {
     std::uint64_t memoryEntries = 0;
     std::uint64_t memoryCapacity = 0;
-    std::size_t shards = 1; //!< configured disk shard count
 };
 
 /** One worker's supervision history, for the metrics document. */
@@ -210,10 +190,9 @@ struct SupervisorStats
 
 /**
  * @return The metrics as a stable one-line JSON document. Gauge
- * fields the cache owns (entry counts, shard layout) are passed in by
- * the caller; the per-shard disk counters render from
- * metrics.cacheCounters. A null supervisor omits the "supervisor"
- * section (single-process mode).
+ * fields the cache owns (entry counts) are passed in by the caller;
+ * the disk counters render from metrics.cacheCounters. A null
+ * supervisor omits the "supervisor" section (single-process mode).
  */
 std::string metricsJson(const ServiceMetrics &metrics,
                         const CacheStats &cache,

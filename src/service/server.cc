@@ -79,7 +79,6 @@ cacheConfigFor(const ServerConfig &config, ServiceMetrics &metrics,
     cache.memoryCapacity = config.cacheMemEntries;
     cache.diskDir = config.cacheDir;
     cache.maxDiskBytes = config.cacheMaxBytes;
-    cache.shards = config.cacheShards;
     cache.counters = &metrics.cacheCounters;
     cache.faults = faults;
     return cache;
@@ -150,7 +149,6 @@ UjamServer::metricsSnapshot() const
     CacheStats cache;
     cache.memoryEntries = cache_.memoryEntries();
     cache.memoryCapacity = cache_.memoryCapacity();
-    cache.shards = cache_.shards();
     if (config_.supervisorStats) {
         SupervisorStats supervisor = config_.supervisorStats();
         return metricsJson(metrics_, cache, &supervisor);

@@ -92,8 +92,6 @@ struct ServerConfig
     std::string cacheDir;        //!< persistent tier; "" = memory only
     /** Disk-tier byte budget; 0 = unbounded. See ResultCache. */
     std::uint64_t cacheMaxBytes = 0;
-    /** Disk-cache shards (key-prefix routing; see ResultCache). */
-    std::size_t cacheShards = 1;
 
     /** Close a connection idle for this long; 0 = never. A stalled
      * client must not pin a worker slot forever. */

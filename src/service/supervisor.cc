@@ -542,8 +542,6 @@ Supervisor::Impl::run()
     if (config.dumpMetrics) {
         CacheStats cache;
         cache.memoryCapacity = config.server.cacheMemEntries;
-        cache.shards = std::max<std::size_t>(config.server.cacheShards,
-                                             1);
         SupervisorStats stats = statsFromShared(*shared);
         std::cerr << metricsJson(shared->metrics, cache, &stats)
                   << "\n";

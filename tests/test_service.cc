@@ -38,6 +38,7 @@
 #include "service/server.hh"
 #include "support/json.hh"
 #include "support/rng.hh"
+#include "support/sha256.hh"
 #include "workloads/suite.hh"
 
 namespace ujam
@@ -749,50 +750,26 @@ TEST(ServiceSocket, SharedListenerDrainsWithoutBlocking)
     ::unlink(path.c_str());
 }
 
-// --- sharded, corruption-tolerant disk tier -------------------------
+// --- the corruption-tolerant disk tier ------------------------------
 
-TEST(ResultCacheShard, RoutesByKeyPrefixAndPersists)
+/** @return Bytes in every regular file under @p dir. */
+std::uint64_t
+bytesUnder(const std::string &dir)
 {
-    std::string dir = scratchDir("shards");
-    ResultCacheConfig config;
-    config.memoryCapacity = 2;
-    config.diskDir = dir;
-    config.shards = 4;
-
-    std::vector<std::string> keys{"00aa", "40bb", "80cc", "c0dd"};
-    {
-        ResultCache cache(config);
-        for (const std::string &key : keys) {
-            EXPECT_EQ(cache.shardOf(key),
-                      static_cast<std::size_t>(
-                          std::stoul(key.substr(0, 2), nullptr, 16) %
-                          4));
-            cache.put(key, "value-" + key);
-            EXPECT_NE(cache.diskPath(key).find("shard-"),
-                      std::string::npos);
-            EXPECT_TRUE(
-                std::filesystem::exists(cache.diskPath(key)));
-        }
+    std::uint64_t bytes = 0;
+    for (auto &entry :
+         std::filesystem::recursive_directory_iterator(dir)) {
+        if (entry.is_regular_file())
+            bytes += entry.file_size();
     }
-
-    // A fresh cache (cold memory tier) must serve every shard.
-    ResultCache reopened(config);
-    for (const std::string &key : keys) {
-        CacheTier tier = CacheTier::Miss;
-        auto hit = reopened.get(key, &tier);
-        ASSERT_TRUE(hit.has_value()) << key;
-        EXPECT_EQ(*hit, "value-" + key);
-        EXPECT_EQ(tier, CacheTier::Disk);
-    }
-    std::filesystem::remove_all(dir);
+    return bytes;
 }
 
-TEST(ResultCacheShard, TruncatedEntryQuarantinedAsMiss)
+TEST(ResultCacheDisk, TruncatedEntryQuarantinedAsMiss)
 {
     std::string dir = scratchDir("truncate");
     ResultCacheConfig config;
     config.diskDir = dir;
-    config.shards = 2;
     ResultCache cache(config);
     cache.put("00feed", "a result worth keeping around");
 
@@ -811,10 +788,7 @@ TEST(ResultCacheShard, TruncatedEntryQuarantinedAsMiss)
     EXPECT_FALSE(std::filesystem::exists(path));
 
     // The damaged file is kept for postmortem, not served.
-    std::string shard_dir =
-        std::filesystem::path(path).parent_path().parent_path();
-    EXPECT_TRUE(
-        std::filesystem::exists(shard_dir + "/quarantine/00feed"));
+    EXPECT_TRUE(std::filesystem::exists(dir + "/quarantine/00feed"));
 
     // A re-store heals the entry byte-identically.
     reopened.put("00feed", "a result worth keeping around");
@@ -825,7 +799,7 @@ TEST(ResultCacheShard, TruncatedEntryQuarantinedAsMiss)
     std::filesystem::remove_all(dir);
 }
 
-TEST(ResultCacheShard, BitFlipQuarantinedAsMiss)
+TEST(ResultCacheDisk, BitFlipQuarantinedAsMiss)
 {
     std::string dir = scratchDir("bitflip");
     ResultCacheConfig config;
@@ -849,43 +823,104 @@ TEST(ResultCacheShard, BitFlipQuarantinedAsMiss)
     ResultCache reopened(config);
     EXPECT_FALSE(reopened.get("00cafe").has_value());
     EXPECT_EQ(reopened.diskQuarantined(), 1u);
+    EXPECT_TRUE(std::filesystem::exists(dir + "/quarantine/00cafe"));
+
+    reopened.put("00cafe", "payload protected by sha-256");
+    ResultCache healed(config);
+    auto hit = healed.get("00cafe");
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(*hit, "payload protected by sha-256");
     std::filesystem::remove_all(dir);
 }
 
-TEST(ResultCacheShard, PerShardBudgetEvictsOldestEntries)
+TEST(ResultCacheDisk, OneBudgetCoversTheWholeDirectory)
 {
     std::string dir = scratchDir("budget");
     ResultCacheConfig config;
     config.memoryCapacity = 1;
     config.diskDir = dir;
-    config.shards = 2;
-    config.maxDiskBytes = 2048; // 1024 per shard
+    config.maxDiskBytes = 2048;
     ResultCache cache(config);
 
-    // ~16 entries of ~200 bytes into each shard: far past budget.
+    // 32 entries of ~280 bytes, each in its own fan-out directory:
+    // far past a budget that holds seven.
     std::string value(200, 'x');
-    for (int i = 0; i < 16; ++i) {
+    for (int i = 0; i < 32; ++i) {
         char hex[8];
-        std::snprintf(hex, sizeof hex, "%02x", i * 2);
-        cache.put(std::string(hex) + "even", value); // shard 0
-        std::snprintf(hex, sizeof hex, "%02x", i * 2 + 1);
-        cache.put(std::string(hex) + "odd", value); // shard 1
+        std::snprintf(hex, sizeof hex, "%02x", i);
+        std::string key = std::string(hex) + "entry";
+        cache.put(key, value);
+        EXPECT_EQ(cache.diskPath(key), dir + "/" + hex + "/" + key);
     }
     EXPECT_GT(cache.diskEvictions(), 0u);
 
-    // Each shard must respect its own slice of the budget.
-    for (std::size_t shard = 0; shard < 2; ++shard) {
-        std::uint64_t bytes = 0;
-        std::string shard_dir =
-            dir + "/shard-0" + std::to_string(shard);
-        for (auto &entry :
-             std::filesystem::recursive_directory_iterator(
-                 shard_dir)) {
-            if (entry.is_regular_file())
-                bytes += entry.file_size();
-        }
-        EXPECT_LE(bytes, 1024u) << "shard " << shard;
+    // The budget bounds the sum over every fan-out directory.
+    EXPECT_LE(bytesUnder(dir), 2048u);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(ResultCacheDisk, TwoCachesOnOneDirectoryUnderConcurrentWriters)
+{
+    // Two caches on one directory stand in for two worker processes:
+    // their budget sweeps share no mutex.
+    std::string dir = scratchDir("concurrent");
+    auto key_of = [](const std::string &label) {
+        return sha256Hex(label);
+    };
+    // Each value is its key repeated to 4 KiB, so a torn or misrouted
+    // read shows as a mismatch or a quarantine.
+    auto value_of = [](const std::string &key) {
+        std::string value;
+        while (value.size() < 4096)
+            value += key;
+        return value;
+    };
+    std::uint64_t entry =
+        ResultCache::diskEntryBytes(value_of(key_of("")).size());
+    ResultCacheConfig config;
+    config.memoryCapacity = 1;
+    config.diskDir = dir;
+    config.maxDiskBytes = 6 * entry;
+    ResultCache first(config);
+    ResultCache second(config);
+
+    std::atomic<int> mismatches{0};
+    std::vector<std::thread> writers;
+    for (int t = 0; t < 4; ++t) {
+        writers.emplace_back([&, t] {
+            ResultCache &cache = t % 2 == 0 ? first : second;
+            std::vector<std::string> keys;
+            for (int i = 0; i < 64; ++i)
+                keys.push_back(key_of("writer " + std::to_string(t) +
+                                      " key " + std::to_string(i)));
+            for (int i = 0; i < 8; ++i)
+                keys.push_back(key_of("shared key " +
+                                      std::to_string(i)));
+            auto check = [&](const std::string &key) {
+                std::optional<std::string> hit = cache.get(key);
+                if (hit && *hit != value_of(key))
+                    mismatches.fetch_add(1);
+            };
+            // Read back each key as it lands, and a shared key that
+            // the other writers are replacing and evicting meanwhile.
+            for (std::size_t i = 0; i < keys.size(); ++i) {
+                cache.put(keys[i], value_of(keys[i]));
+                check(keys[i]);
+                check(keys[64 + i % 8]);
+            }
+            for (const std::string &key : keys)
+                check(key);
+        });
     }
+    for (std::thread &writer : writers)
+        writer.join();
+
+    EXPECT_EQ(mismatches.load(), 0);
+    EXPECT_EQ(first.diskQuarantined() + second.diskQuarantined(), 0u);
+    EXPECT_GE(first.diskEvictions() + second.diskEvictions(), 1u);
+    // The last sweep to start saw every write, and only deletions
+    // raced with it.
+    EXPECT_LE(bytesUnder(dir), 6 * entry);
     std::filesystem::remove_all(dir);
 }
 
@@ -998,6 +1033,7 @@ TEST(ServiceFault, CacheCorruptFaultIsDetectedOnRead)
     EXPECT_EQ(server.processLine(line), expected);
     EXPECT_EQ(server.cache().diskQuarantined(), 1u);
     EXPECT_EQ(server.metrics().cacheMisses.get(), 1u);
+    EXPECT_FALSE(std::filesystem::is_empty(dir + "/quarantine"));
 
     // And the healed entry now disk-hits.
     ServerConfig healed;
@@ -1086,10 +1122,9 @@ TEST(ServiceSocket, IdleConnectionsAreReaped)
 
 // --- extended metrics schema ----------------------------------------
 
-TEST(ServiceMetricsDoc, ShardAndSupervisorSections)
+TEST(ServiceMetricsDoc, CacheAndSupervisorSections)
 {
     ServerConfig config;
-    config.cacheShards = 4;
     config.supervisorStats = [] {
         SupervisorStats stats;
         stats.workersConfigured = 2;
@@ -1109,17 +1144,22 @@ TEST(ServiceMetricsDoc, ShardAndSupervisorSections)
     ASSERT_TRUE(parsed.ok()) << parsed.error;
     const JsonValue &root = *parsed.value;
 
+    // The cache section is flat: one set of disk counters for the
+    // whole directory, in a fixed order.
     const JsonValue *cache = root.find("cache");
-    ASSERT_NE(cache, nullptr);
-    EXPECT_EQ(*cache->find("shard_count")->asInt(), 4);
+    ASSERT_TRUE(cache && cache->isObject());
+    std::vector<std::string> fields;
+    for (const auto &member : cache->members) {
+        fields.push_back(member.first);
+        EXPECT_TRUE(member.second.asInt().has_value()) << member.first;
+    }
+    EXPECT_EQ(fields,
+              (std::vector<std::string>{
+                  "memory_hits", "disk_hits", "misses", "stores",
+                  "bypassed", "memory_entries", "memory_capacity",
+                  "disk_stores", "disk_evictions",
+                  "disk_quarantined"}));
     EXPECT_EQ(*cache->find("disk_quarantined")->asInt(), 0);
-    const JsonValue *shards = cache->find("shards");
-    ASSERT_TRUE(shards && shards->isArray());
-    ASSERT_EQ(shards->elements.size(), 4u);
-    for (const JsonValue &shard : shards->elements)
-        for (const char *key : {"disk_hits", "disk_stores",
-                                "disk_evictions", "disk_quarantined"})
-            ASSERT_NE(shard.find(key), nullptr) << key;
 
     const JsonValue *supervisor = root.find("supervisor");
     ASSERT_NE(supervisor, nullptr);

@@ -230,7 +230,6 @@ TEST(SupervisorRobust, WorkerCrashLosesOnlyItsConnections)
     SupervisorConfig config;
     config.server.socketPath = sock;
     config.server.cacheDir = dir;
-    config.server.cacheShards = 4;
     config.server.threads = 2;
     // A worker is SIGKILLed while serving its second request -- once
     // per slot per service lifetime (the ordinal counts in shared
