@@ -33,6 +33,11 @@ verdict is the first of these that holds:
                 change failed no more operations than the parent;
     -           none of these: no regression past the bound, and no gain.
 
+Each metric also gets a 95% percentile-bootstrap interval on the
+change/parent ratio of medians: whole pairs are resampled with
+replacement 2,000 times from a fixed seed, so the same runs always
+print the same interval. The verdict does not use it.
+
 If a run fails, the pairs completed before it are reported and the
 script exits non-zero.
 """
@@ -40,6 +45,7 @@ script exits non-zero.
 import argparse
 import json
 import os
+import random
 import statistics
 import subprocess
 import sys
@@ -92,6 +98,19 @@ def quartiles(values):
     return q1, median, q3
 
 
+def ratio_interval(p, c, resamples):
+    """95% percentile-bootstrap interval on median(c) / median(p)."""
+    ratios = []
+    for picks in resamples:
+        pm = statistics.median(p[i] for i in picks)
+        if pm:
+            ratios.append(statistics.median(c[i] for i in picks) / pm)
+    if len(ratios) < 2:
+        return float("nan"), float("nan")
+    cuts = statistics.quantiles(ratios, n=40, method="inclusive")
+    return cuts[0], cuts[-1]
+
+
 def report(metrics, seconds, parent, change):
     pairs = len(parent)
     failed_parent = sum(r["failed"] for r in parent)
@@ -100,7 +119,11 @@ def report(metrics, seconds, parent, change):
           f"failed operations: parent {failed_parent}, "
           f"change {failed_change}")
     print(f"{'metric':<18} {'parent':>33} {'change':>33} {'ratio':>6} "
-          f"{'wins':>6}  verdict")
+          f"{'95% interval':>16} {'wins':>6}  verdict")
+    # Whole pairs, drawn once, so every metric sees the same resamples.
+    rng = random.Random(1)
+    resamples = [[rng.randrange(pairs) for _ in range(pairs)]
+                 for _ in range(2000)]
     for metric in metrics:
         name = metric["name"]
         higher = metric["better"] == "higher"
@@ -122,9 +145,10 @@ def report(metrics, seconds, parent, change):
         else:
             verdict = "-"
         ratio = cm / pm if pm else float("nan")
+        lo, hi = ratio_interval(p, c, resamples)
         print(f"{name:<18} {p1:9.3f} / {pm:9.3f} / {p3:9.3f} "
               f"{c1:9.3f} / {cm:9.3f} / {c3:9.3f} {ratio:6.3f} "
-              f"{wins:>3}/{pairs:<3} {verdict}")
+              f"[{lo:6.3f}, {hi:6.3f}] {wins:>3}/{pairs:<3} {verdict}")
 
 
 def main():

@@ -11,8 +11,9 @@
  * unroll-and-jam plus scalar replacement, prints the transformed
  * program to stdout, and (with --simulate) reports simulated cycles
  * before and after. The knob flags set the service's options of the
- * same names (service/protocol.hh), with the same checks. Exits
- * nonzero on bad flag values and parse/validation errors.
+ * same names (service/protocol.hh), with the same checks. Exits 2 on
+ * a usage error (a bad flag or value, a second FILE), 1 on a parse or
+ * validation error.
  */
 
 #include <cstdio>
@@ -84,7 +85,7 @@ main(int argc, char **argv)
             bad_value = applyRequestOption(request, "max_unroll", argv[++i]);
         } else if (std::strncmp(arg, "--lint=", 7) == 0) {
             bad_value = applyRequestOption(request, "lint", arg + 7);
-        } else if (arg[0] == '-') {
+        } else if (arg[0] == '-' || path) {
             usage();
             return 2;
         } else {

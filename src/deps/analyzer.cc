@@ -6,7 +6,6 @@
 
 #include "analysis/dataflow.hh"
 #include "deps/subscript_tests.hh"
-#include "support/rational.hh"
 #include "support/diagnostics.hh"
 
 namespace ujam
@@ -18,7 +17,7 @@ namespace
 /**
  * Bounds facts for the range pre-filter, in the same (possibly
  * normalized) iteration space the pairwise tests run in: loops folded
- * by normalizeRef count iterations 1..trip, all others keep their
+ * by unitStepped count iterations 1..trip, all others keep their
  * source values.
  */
 struct RangeFacts
@@ -51,7 +50,7 @@ buildRangeFacts(const LoopNest &nest, const DepOptions &options,
         if (trip && *trip <= 0)
             facts.nestDead = true;
         if (normalized[k]) {
-            // normalizeRef rewrote subscripts for iterations 1..trip;
+            // unitStepped rewrote subscripts for iterations 1..trip;
             // distances are already in iteration units.
             if (trip) {
                 facts.iv[k] = Interval::closed(1, *trip);
@@ -126,30 +125,6 @@ rangePruneReason(const RangeFacts &facts, const ArrayRef &a,
     return "";
 }
 
-/**
- * Rewrite an access for a normalized iteration space: loop k with
- * constant lower bound lb and step s becomes a unit loop from 1, so
- * a coefficient a scales to a*s with a*(lb - s) folded into the
- * offset. Distances are only meaningful on the normalized space --
- * without this, re-analyzing an unroll-and-jammed nest (step u+1)
- * would report spurious unit-stride dependences.
- */
-ArrayRef
-normalizeRef(const ArrayRef &ref, std::size_t k, std::int64_t lb,
-             std::int64_t s)
-{
-    std::vector<IntVector> rows = ref.rows();
-    IntVector offset = ref.offset();
-    for (std::size_t d = 0; d < rows.size(); ++d) {
-        std::int64_t a = rows[d][k];
-        if (a == 0)
-            continue;
-        rows[d][k] = checkedMul(a, s);
-        offset[d] = checkedAdd(offset[d], checkedMul(a, lb - s));
-    }
-    return ArrayRef(ref.array(), std::move(rows), std::move(offset));
-}
-
 DepKind
 classify(bool src_write, bool dst_write)
 {
@@ -184,8 +159,10 @@ analyzeDependences(const LoopNest &nest, const DepOptions &options)
 
     // Step-aware analysis: fold constant-origin stepped loops into
     // the subscripts so distances come out in iteration (not value)
-    // units. Symbolic-origin stepped loops stay as-is (conservative:
-    // treated like unit stride, which only over-approximates).
+    // units -- without this, re-analyzing an unroll-and-jammed nest
+    // (step u+1) would report spurious unit-stride dependences.
+    // Symbolic-origin stepped loops stay as-is (conservative: treated
+    // like unit stride, which only over-approximates).
     std::vector<bool> normalized(depth, false);
     for (std::size_t k = 0; k < depth; ++k) {
         const Loop &loop = nest.loop(k);
@@ -194,7 +171,7 @@ analyzeDependences(const LoopNest &nest, const DepOptions &options)
         normalized[k] = true;
         std::int64_t lb = loop.lower.evaluate({});
         for (Access &access : accesses)
-            access.ref = normalizeRef(access.ref, k, lb, loop.step);
+            access.ref = access.ref.unitStepped(k, lb, loop.step);
     }
 
     RangeFacts range;

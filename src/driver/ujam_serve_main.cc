@@ -10,8 +10,8 @@
  *                                           frames to a running server
  *
  * Options:
- *     --threads N        worker threads (0 = one per core)
- *     --queue N          socket admission-queue bound (default 64)
+ *     --threads N        serving threads (0 = one per core); in
+ *                        socket mode each accepts its own connections
  *     --cache-dir DIR    persistent result-cache directory
  *     --cache-mem N      in-memory cache entries (default 256)
  *     --cache-max-bytes N  disk-cache byte budget; oldest entries are
@@ -63,7 +63,7 @@ usage()
         stderr,
         "usage: ujam-serve --batch | --socket PATH | --client PATH "
         "[FILE]\n"
-        "       [--threads N] [--queue N] [--cache-dir DIR]\n"
+        "       [--threads N] [--cache-dir DIR]\n"
         "       [--cache-mem N] [--cache-max-bytes N]\n"
         "       [--deadline-ms N] [--idle-timeout-ms N] "
         "[--dump-metrics]\n"
@@ -141,8 +141,6 @@ main(int argc, char **argv)
             config.socketPath = argv[++i];
         } else if (std::strcmp(arg, "--threads") == 0 && i + 1 < argc) {
             count(argv[++i], config.threads);
-        } else if (std::strcmp(arg, "--queue") == 0 && i + 1 < argc) {
-            count(argv[++i], config.queueLimit);
         } else if (std::strcmp(arg, "--cache-dir") == 0 &&
                    i + 1 < argc) {
             config.cacheDir = argv[++i];

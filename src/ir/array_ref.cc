@@ -98,6 +98,21 @@ ArrayRef::shifted(const IntVector &shift) const
     return result;
 }
 
+ArrayRef
+ArrayRef::unitStepped(std::size_t k, std::int64_t lb, std::int64_t s) const
+{
+    std::vector<IntVector> rows = rows_;
+    IntVector offset = offset_;
+    for (std::size_t d = 0; d < rows.size(); ++d) {
+        std::int64_t a = rows[d][k];
+        if (a == 0)
+            continue;
+        rows[d][k] = checkedMul(a, s);
+        offset[d] = checkedAdd(offset[d], checkedMul(a, lb - s));
+    }
+    return ArrayRef(array_, std::move(rows), std::move(offset));
+}
+
 int
 ArrayRef::loopForDim(std::size_t d) const
 {

@@ -92,6 +92,15 @@ class ArrayRef
     ArrayRef shifted(const IntVector &shift) const;
 
     /**
+     * @return The reference with loop k (constant lower bound lb,
+     * step s) rewritten as a unit loop from 1: substituting i_k = lb +
+     * (i_k' - 1) * s scales loop k's coefficient a to a * s and folds
+     * a * (lb - s) into the offset. The source location is dropped.
+     */
+    ArrayRef unitStepped(std::size_t k, std::int64_t lb,
+                         std::int64_t s) const;
+
+    /**
      * @return The loop (column) indexing array dimension d, or -1 if
      * the row is all zero. @pre isSivSeparable().
      */

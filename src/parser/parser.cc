@@ -35,14 +35,14 @@ class Parser
     {
         Program program;
         program.setSourceName(source_name_);
-        std::string pending_nest_name;
+        std::string nest_name;
         for (;;) {
             skipNewlines();
             const Token &token = peek();
             if (token.kind == TokenKind::End)
                 break;
             if (token.kind == TokenKind::NestName) {
-                pending_nest_name = token.text;
+                nest_name = token.text;
                 advance();
                 continue;
             }
@@ -54,8 +54,8 @@ class Parser
                 parseReal(program);
             } else if (token.text == "do") {
                 LoopNest nest = parseNest();
-                nest.setName(pending_nest_name);
-                pending_nest_name.clear();
+                nest.setName(nest_name);
+                nest_name.clear();
                 program.addNest(std::move(nest));
             } else {
                 errorHere(concat("unexpected '", token.text, "'"));

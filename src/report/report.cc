@@ -12,25 +12,6 @@
 namespace ujam
 {
 
-namespace
-{
-
-const char *
-selfReuseName(SelfReuse kind)
-{
-    switch (kind) {
-      case SelfReuse::None:
-        return "none";
-      case SelfReuse::Spatial:
-        return "spatial";
-      case SelfReuse::Temporal:
-        return "temporal";
-    }
-    return "?";
-}
-
-} // namespace
-
 std::string
 reuseSummary(const LoopNest &nest)
 {

@@ -8,6 +8,20 @@
 namespace ujam
 {
 
+const char *
+selfReuseName(SelfReuse kind)
+{
+    switch (kind) {
+      case SelfReuse::None:
+        return "none";
+      case SelfReuse::Spatial:
+        return "spatial";
+      case SelfReuse::Temporal:
+        return "temporal";
+    }
+    return "?";
+}
+
 SelfReuse
 classifySelfReuse(const UniformlyGeneratedSet &ugs,
                   const Subspace &localized)

@@ -39,6 +39,9 @@ enum class SelfReuse
     Temporal  //!< RST cap L != 0: same data across localized iterations
 };
 
+/** @return "none", "spatial" or "temporal". */
+const char *selfReuseName(SelfReuse kind);
+
 /** @return The self-reuse class of ugs within localized. */
 SelfReuse classifySelfReuse(const UniformlyGeneratedSet &ugs,
                             const Subspace &localized);

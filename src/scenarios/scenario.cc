@@ -227,25 +227,6 @@ generateScenario(const ScenarioSpec &spec)
     return scenario;
 }
 
-namespace
-{
-
-const char *
-selfReuseName(SelfReuse kind)
-{
-    switch (kind) {
-    case SelfReuse::None:
-        return "none";
-    case SelfReuse::Spatial:
-        return "spatial";
-    case SelfReuse::Temporal:
-        return "temporal";
-    }
-    return "?";
-}
-
-} // namespace
-
 bool
 verifyScenarioTruth(const Program &program,
                     const ScenarioGroundTruth &truth, std::string *why)

@@ -139,9 +139,9 @@ ServeClient::requestWithRetry(const std::string &line, int attempts,
         std::string response = request(line, timeout_ms);
         if (!response.empty())
             return response;
-        // The connection died under us (worker crash, overload
-        // close). Back off briefly so a restarting worker can come
-        // up, then reconnect and resend.
+        // The connection died under us (worker crash, idle reap)
+        // or the response deadline expired. Back off briefly so a
+        // restarting worker can come up, then reconnect and resend.
         std::this_thread::sleep_for(std::chrono::milliseconds(50));
     }
     return "";

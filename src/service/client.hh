@@ -54,8 +54,8 @@ class ServeClient
      *                   retry starts clean) when no response arrives
      *                   within this many ms; <= 0 blocks forever.
      * @return The response without its newline, or "" on a dead
-     *         connection (e.g. closed after an overloaded reply) or
-     *         an expired timeout.
+     *         connection (e.g. its worker crashed or reaped it as
+     *         idle) or an expired timeout.
      */
     std::string request(const std::string &line, int timeout_ms = 0);
 

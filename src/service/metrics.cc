@@ -72,7 +72,6 @@ metricsJson(const ServiceMetrics &metrics, const CacheStats &cache,
     json.field("malformed", metrics.requestsMalformed.get());
     json.field("bad_op", metrics.requestsBadOp.get());
     json.field("bad_field", metrics.requestsBadField.get());
-    json.field("overloaded", metrics.requestsOverloaded.get());
     json.field("timeouts", metrics.requestsTimeout.get());
     json.field("degraded", metrics.requestsDegraded.get());
     json.key("by_op").beginObject();

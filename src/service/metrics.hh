@@ -115,9 +115,8 @@ struct ServiceMetrics
     Counter requestsMalformed; //!< not JSON / not an object / no op
     Counter requestsBadOp;     //!< well-formed frame, unknown op
     Counter requestsBadField;  //!< known op, bad field/option value
-    Counter requestsOverloaded; //!< rejected by admission control
-    Counter requestsTimeout;    //!< deadline expired
-    Counter requestsDegraded;   //!< rejected in cache-only mode
+    Counter requestsTimeout;   //!< deadline expired
+    Counter requestsDegraded;  //!< rejected in cache-only mode
 
     // --- requests, by operation ---
     Counter opOptimize;

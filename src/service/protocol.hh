@@ -36,7 +36,7 @@
  * Response:
  *
  *   {"id": ..., "op": ..., "status": "ok" | "error" | "timeout" |
- *    "overloaded" | "degraded", "error": "...", (status != ok)
+ *    "degraded", "error": "...",                (status != ok)
  *    "result": { ... }}                         (status == ok)
  *
  * "degraded" is the cache-only rejection: the supervisor's circuit

@@ -134,8 +134,6 @@ UjamServer::UjamServer(ServerConfig config)
 {
     if (config_.threads == 0)
         config_.threads = defaultThreads();
-    if (config_.queueLimit == 0)
-        config_.queueLimit = 1;
 }
 
 UjamServer::~UjamServer()
@@ -170,7 +168,6 @@ UjamServer::requestStop()
         std::lock_guard<std::mutex> lock(mutex_);
         stopRequested_ = true;
     }
-    wake_.notify_all();
     stopped_.notify_all();
 }
 
@@ -544,8 +541,7 @@ UjamServer::start()
 
     if (config_.listenFd >= 0) {
         // A supervisor bound the socket before forking us; every
-        // worker accepts on the shared fd and the kernel spreads
-        // connections across them.
+        // worker accepts on the shared fd.
         listenFd_ = config_.listenFd;
         ownsListenSocket_ = false;
     } else {
@@ -558,14 +554,16 @@ UjamServer::start()
         stopRequested_ = false;
         started_ = true;
     }
-    threads_.emplace_back([this] { acceptLoop(); });
-    for (std::size_t w = 0; w < config_.threads; ++w)
-        threads_.emplace_back([this] { workerLoop(); });
+    for (std::size_t t = 0; t < config_.threads; ++t)
+        threads_.emplace_back([this] { serveLoop(); });
 }
 
 void
-UjamServer::acceptLoop()
+UjamServer::serveLoop()
 {
+    // A thread accepts only when it is free, so a connection no
+    // thread can serve yet stays in the listen backlog, where a free
+    // thread of any worker on the listener can take it.
     while (!stopping()) {
         pollfd poller{listenFd_, POLLIN, 0};
         int ready = ::poll(&poller, 1, 100);
@@ -573,49 +571,7 @@ UjamServer::acceptLoop()
             continue; // timeout, EINTR or transient error: re-check
         int fd = ::accept4(listenFd_, nullptr, nullptr, SOCK_CLOEXEC);
         if (fd < 0)
-            continue; // EAGAIN (a sibling won it), EINTR, ECONNABORTED
-
-        bool admitted = false;
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            if (!stopRequested_ &&
-                pending_.size() < config_.queueLimit) {
-                pending_.push_back(fd);
-                admitted = true;
-            }
-        }
-        if (admitted) {
-            wake_.notify_one();
-        } else {
-            // Explicit backpressure instead of unbounded queuing.
-            metrics_.requestsTotal.add();
-            metrics_.requestsOverloaded.add();
-            writeAll(fd,
-                     errorResponse("", "", "overloaded",
-                                   "admission queue full") +
-                         "\n");
-            ::close(fd);
-        }
-    }
-}
-
-void
-UjamServer::workerLoop()
-{
-    while (true) {
-        int fd = -1;
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            wake_.wait(lock, [this] {
-                return stopRequested_ || !pending_.empty();
-            });
-            if (pending_.empty()) {
-                // stopRequested_ and nothing left to drain.
-                return;
-            }
-            fd = pending_.front();
-            pending_.pop_front();
-        }
+            continue; // EAGAIN (another thread won it), EINTR, ECONNABORTED
         handleConnection(fd);
     }
 }
@@ -629,7 +585,7 @@ UjamServer::handleConnection(int fd)
 
     // Belt (SO_RCVTIMEO caps any blocking read the kernel sees) and
     // braces (the poll loop below tracks idleness explicitly): a
-    // stalled client cannot pin this worker slot forever.
+    // stalled client cannot pin this thread forever.
     if (config_.idleTimeoutMs > 0) {
         timeval timeout{};
         timeout.tv_sec = config_.idleTimeoutMs / 1000;
@@ -710,9 +666,6 @@ UjamServer::stop()
         std::lock_guard<std::mutex> lock(mutex_);
         was_started = started_;
         started_ = false;
-        for (int fd : pending_)
-            ::close(fd);
-        pending_.clear();
     }
     if (listenFd_ >= 0) {
         // An adopted fd is the supervisor's to close: other workers

@@ -10,17 +10,20 @@
  *    (stdin/stdout in the CLI). Lines are processed by a private
  *    worker group into index-addressed slots and emitted in input
  *    order, so batch output is bit-identical at every thread count.
- *  - start()/stop(): a Unix-domain-socket accept loop with a bounded
- *    admission queue. When the queue is full a connection is answered
- *    with an explicit "overloaded" frame and closed instead of
- *    queuing without bound. Workers poll with a short timeout so a
+ *  - start()/stop(): a Unix-domain socket served by `threads`
+ *    identical threads. Each one polls the listener, accepts one
+ *    connection when it is free, serves it to the end and goes back
+ *    to polling. A connection that finds every thread busy waits in
+ *    the kernel's listen backlog -- the only queue -- until a free
+ *    thread of this server, or of a sibling worker on the same
+ *    listener, takes it. Threads poll with a short timeout so a
  *    graceful stop never hangs on an idle client.
  *
  * Per-request deadlines ("deadline_ms", measured from receipt) are
- * checked at stage boundaries -- admission, post-parse, post-optimize
+ * checked at stage boundaries -- receipt, post-parse, post-optimize
  * -- and an expired request answers "timeout". A "shutdown" request
- * begins a graceful stop: no new connections, queued work drains,
- * workers exit after their current frame.
+ * begins a graceful stop: no new connections, and every thread exits
+ * after its current frame.
  *
  * Requests run the existing pipeline (driver/optimizeProgram, the
  * analyzer for "lint") with per-nest parallelism disabled: the server
@@ -30,8 +33,8 @@
  * Multi-process operation (see service/supervisor.hh): a worker
  * server adopts the supervisor's pre-bound listening socket
  * (ServerConfig::listenFd) -- the AF_UNIX analogue of SO_REUSEPORT:
- * every worker accepts on the shared, non-blocking fd (see
- * bindListenSocket) and the kernel load-balances. Workers
+ * every free thread of every worker accepts on the shared,
+ * non-blocking fd (see bindListenSocket). Workers
  * record into a shared-memory ServiceMetrics block
  * (ServerConfig::sharedMetrics) so the `metrics` op aggregates
  * service-wide totals from any worker. A server in degraded mode
@@ -47,7 +50,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <iosfwd>
 #include <mutex>
@@ -84,8 +86,10 @@ int bindListenSocket(const std::string &path);
 struct ServerConfig
 {
     std::string socketPath;      //!< socket mode listen path
-    std::size_t threads = 0;     //!< workers; 0 = one per core
-    std::size_t queueLimit = 64; //!< pending-connection bound
+    /** Socket mode: threads that each accept and serve their own
+     * connections. Batch mode: the parallelFor width. 0 = one per
+     * core. */
+    std::size_t threads = 0;
     /** Deadline applied to requests that do not carry one. */
     std::optional<std::int64_t> defaultDeadlineMs;
     std::size_t cacheMemEntries = 256; //!< in-memory LRU capacity
@@ -94,7 +98,7 @@ struct ServerConfig
     std::uint64_t cacheMaxBytes = 0;
 
     /** Close a connection idle for this long; 0 = never. A stalled
-     * client must not pin a worker slot forever. */
+     * client must not pin a serving thread forever. */
     std::int64_t idleTimeoutMs = 0;
 
     // --- multi-process plumbing (set by the supervisor) ---
@@ -165,9 +169,9 @@ class UjamServer
     void start();
 
     /**
-     * Graceful stop: stop accepting, drain the admission queue, join
-     * every thread, unlink the socket. Idempotent; also runs from the
-     * destructor.
+     * Graceful stop: stop accepting, let every thread finish its
+     * current frame, join them, unlink the socket. Idempotent; also
+     * runs from the destructor.
      */
     void stop();
 
@@ -179,8 +183,8 @@ class UjamServer
 
     /**
      * Begin a graceful stop without joining (async-signal-unsafe but
-     * thread-safe): accepting ends, queued work drains, workers exit
-     * after their current frame. Call stop() to join.
+     * thread-safe): accepting ends and threads exit after their
+     * current frame. Call stop() to join.
      */
     void requestStop();
 
@@ -200,8 +204,7 @@ class UjamServer
         bool has_deadline);
     /** Fire any worker-level faults matching this request serial. */
     void applyWorkerFaults(std::uint64_t serial);
-    void acceptLoop();
-    void workerLoop();
+    void serveLoop();
     void handleConnection(int fd);
 
     ServerConfig config_;
@@ -213,14 +216,12 @@ class UjamServer
 
     int listenFd_ = -1;
     bool ownsListenSocket_ = false; //!< we bound it; unlink on stop
-    std::vector<std::thread> threads_; //!< accept + workers
 
     mutable std::mutex mutex_;
-    std::condition_variable wake_;    //!< workers: queue or stop
     std::condition_variable stopped_; //!< waitForShutdown
-    std::deque<int> pending_;         //!< accepted, unserved sockets
     bool stopRequested_ = false;
     bool started_ = false;
+    std::vector<std::thread> threads_; //!< serving threads
 };
 
 } // namespace ujam

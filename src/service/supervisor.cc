@@ -452,8 +452,8 @@ Supervisor::Impl::enterDegradedMode()
     server.workerFaults = std::vector<ProcessFaultSpec>{};
     // Survival mode must not be starvable: handleConnection keeps
     // served connections alive, so one idle client could pin a lone
-    // worker thread forever while fresh connections starve in the
-    // admission queue. Cache-only answers are cheap -- give the
+    // serving thread forever while fresh connections wait in the
+    // listen backlog. Cache-only answers are cheap -- give the
     // degraded server at least two threads and always reap idle
     // connections, whatever the template said.
     if (server.threads != 0 && server.threads < 2)

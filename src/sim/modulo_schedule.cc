@@ -42,7 +42,7 @@ struct GraphBuilder
     //! Scalar name -> defining node, for intra-iteration flow.
     std::map<std::string, std::size_t> defined;
     //! Scalar reads that precede the definition (cross-iteration).
-    std::vector<std::pair<std::string, std::size_t>> pending_uses;
+    std::vector<std::pair<std::string, std::size_t>> early_uses;
     //! Memory accesses by node, for memory-carried recurrences.
     std::vector<std::pair<ArrayRef, std::size_t>> loads;
     std::vector<std::pair<ArrayRef, std::size_t>> stores;
@@ -76,7 +76,7 @@ struct GraphBuilder
                 return it->second;
             // Defined later in the body (rotation) or live-in: record
             // for a cross-iteration edge once the definition appears.
-            pending_uses.emplace_back(expr.scalarName(), consumer);
+            early_uses.emplace_back(expr.scalarName(), consumer);
             return SIZE_MAX;
           }
           case Expr::Kind::ArrayRead: {
@@ -171,7 +171,7 @@ OpGraph::fromBody(const LoopNest &nest, const MachineModel &machine)
 
     // Cross-iteration scalar flow: a use that preceded its (re)
     // definition reads last iteration's value.
-    for (const auto &[name, consumer] : builder.pending_uses) {
+    for (const auto &[name, consumer] : builder.early_uses) {
         auto it = builder.defined.find(name);
         if (it == builder.defined.end() || it->second == SIZE_MAX ||
             consumer == SIZE_MAX) {

@@ -8,41 +8,19 @@ namespace ujam
 namespace
 {
 
-/**
- * Substitute i_k = lb + (i_k' - 1) * s into a reference: row
- * coefficients for loop k scale by s, and a * (lb - s) moves into the
- * constant vector per dimension.
- */
-ArrayRef
-substituteRef(const ArrayRef &ref, std::size_t k, std::int64_t lb,
-              std::int64_t s)
-{
-    std::vector<IntVector> rows = ref.rows();
-    IntVector offset = ref.offset();
-    for (std::size_t d = 0; d < rows.size(); ++d) {
-        std::int64_t a = rows[d][k];
-        if (a == 0)
-            continue;
-        rows[d][k] = checkedMul(a, s);
-        offset[d] = checkedAdd(offset[d], checkedMul(a, lb - s));
-    }
-    return ArrayRef(ref.array(), std::move(rows), std::move(offset));
-}
-
+/** Substitute i_k = lb + (i_k' - 1) * s into every reference. */
 Stmt
 substituteStmt(const Stmt &stmt, std::size_t k, std::int64_t lb,
                std::int64_t s)
 {
     if (stmt.isPrefetch())
-        return Stmt::prefetch(
-            substituteRef(stmt.prefetchRef(), k, lb, s));
+        return Stmt::prefetch(stmt.prefetchRef().unitStepped(k, lb, s));
     ExprPtr rhs = stmt.rhs()->rewriteArrayReads(
         [&](const ArrayRef &ref) {
-            return Expr::arrayRead(substituteRef(ref, k, lb, s));
+            return Expr::arrayRead(ref.unitStepped(k, lb, s));
         });
     if (stmt.lhsIsArray())
-        return Stmt::assignArray(substituteRef(stmt.lhsRef(), k, lb, s),
-                                 rhs);
+        return Stmt::assignArray(stmt.lhsRef().unitStepped(k, lb, s), rhs);
     return Stmt::assignScalar(stmt.lhsScalar(), rhs);
 }
 

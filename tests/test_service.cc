@@ -6,8 +6,9 @@
  * determinism -- responses bit-identical across thread widths and
  * across hit/miss -- persistence across a server restart, the metrics
  * schema, a socket smoke test with concurrent clients, deadline
- * expiry and graceful shutdown (the TSan target), and the
- * non-blocking shared listener that lets supervised workers drain.
+ * expiry and graceful shutdown (the TSan target), the non-blocking
+ * shared listener that lets supervised workers drain, and threads
+ * that accept only when free, so a busy worker strands no client.
  */
 
 #include <gtest/gtest.h>
@@ -97,6 +98,16 @@ batch(UjamServer &server, const std::string &input)
     std::ostringstream out;
     server.runBatch(in, out);
     return out.str();
+}
+
+/** @return The member names of a JSON object, in document order. */
+std::vector<std::string>
+memberNames(const JsonValue &object)
+{
+    std::vector<std::string> names;
+    for (const auto &member : object.members)
+        names.push_back(member.first);
+    return names;
 }
 
 /** @return response.status, or "<unparseable>" on a broken frame. */
@@ -530,13 +541,25 @@ TEST(ServiceMetricsDoc, StableSchemaAndCumulativeBuckets)
     JsonParseResult parsed = parseJson(server.metricsSnapshot());
     ASSERT_TRUE(parsed.ok()) << parsed.error;
     const JsonValue &root = *parsed.value;
-    for (const char *section :
-         {"requests", "cache", "pipeline", "latency_us"}) {
-        const JsonValue *value = root.find(section);
-        ASSERT_NE(value, nullptr) << section;
-        EXPECT_TRUE(value->isObject()) << section;
-    }
-    EXPECT_EQ(root.find("requests")->find("total")->asInt(), 1);
+    // The sections and the request fields, in order. A single-process
+    // server has no supervisor section (see CacheAndSupervisorSections).
+    ASSERT_EQ(memberNames(root),
+              (std::vector<std::string>{"requests", "cache", "pipeline",
+                                        "tune", "connections",
+                                        "latency_us"}));
+    for (const auto &section : root.members)
+        EXPECT_TRUE(section.second.isObject()) << section.first;
+    const JsonValue *requests = root.find("requests");
+    EXPECT_EQ(memberNames(*requests),
+              (std::vector<std::string>{"total", "ok", "errors",
+                                        "malformed", "bad_op",
+                                        "bad_field", "timeouts",
+                                        "degraded", "by_op"}));
+    EXPECT_EQ(memberNames(*requests->find("by_op")),
+              (std::vector<std::string>{"optimize", "lint", "codegen",
+                                        "tune", "metrics", "ping",
+                                        "shutdown"}));
+    EXPECT_EQ(requests->find("total")->asInt(), 1);
     EXPECT_EQ(root.find("pipeline")->find("nests_optimized")->asInt(),
               1);
 
@@ -747,6 +770,45 @@ TEST(ServiceSocket, SharedListenerDrainsWithoutBlocking)
     ::close(accepted);
     client.close();
     ::close(listener);
+    ::unlink(path.c_str());
+}
+
+TEST(ServiceSocket, BusyServerLeavesConnectionsToAnIdleSibling)
+{
+    // Two one-thread servers on one listener stand in for two
+    // supervised workers. A thread accepts only when it is free, so
+    // while one client holds the first server's thread, later
+    // connections wait in the listen backlog for the free sibling
+    // instead of queuing behind the busy one.
+    std::string path = "/tmp/ujam-sibling-test-" +
+                       std::to_string(getpid()) + ".sock";
+    ServerConfig config;
+    config.threads = 1;
+    config.listenFd = bindListenSocket(path);
+    UjamServer first(config);
+    UjamServer second(config);
+    first.start();
+    second.start();
+
+    ServeClient holder;
+    ASSERT_TRUE(holder.connect(path));
+    ASSERT_EQ(responseStatus(holder.request("{\"op\": \"ping\"}")),
+              "ok");
+
+    int answered = 0;
+    for (int i = 0; i < 8; ++i) {
+        ServeClient client;
+        if (client.connect(path) &&
+            responseStatus(client.request("{\"op\": \"ping\"}", 1000)) ==
+                "ok")
+            ++answered;
+    }
+    EXPECT_EQ(answered, 8);
+
+    holder.close();
+    first.stop();
+    second.stop();
+    ::close(config.listenFd);
     ::unlink(path.c_str());
 }
 
@@ -1143,17 +1205,18 @@ TEST(ServiceMetricsDoc, CacheAndSupervisorSections)
     JsonParseResult parsed = parseJson(server.metricsSnapshot());
     ASSERT_TRUE(parsed.ok()) << parsed.error;
     const JsonValue &root = *parsed.value;
+    EXPECT_EQ(memberNames(root),
+              (std::vector<std::string>{"requests", "cache", "pipeline",
+                                        "tune", "connections",
+                                        "supervisor", "latency_us"}));
 
     // The cache section is flat: one set of disk counters for the
     // whole directory, in a fixed order.
     const JsonValue *cache = root.find("cache");
     ASSERT_TRUE(cache && cache->isObject());
-    std::vector<std::string> fields;
-    for (const auto &member : cache->members) {
-        fields.push_back(member.first);
+    for (const auto &member : cache->members)
         EXPECT_TRUE(member.second.asInt().has_value()) << member.first;
-    }
-    EXPECT_EQ(fields,
+    EXPECT_EQ(memberNames(*cache),
               (std::vector<std::string>{
                   "memory_hits", "disk_hits", "misses", "stores",
                   "bypassed", "memory_entries", "memory_capacity",
