@@ -25,8 +25,10 @@ std::string
 LintDiagnostic::toString(const std::string &source_name) const
 {
     std::string out = source_name;
-    if (loc.known())
-        out += ":" + loc.toString();
+    if (loc.known()) {
+        out += ':';
+        out += loc.toString();
+    }
     out += ": ";
     out += lintSeverityName(severity);
     out += ": ";

@@ -6,23 +6,16 @@
 namespace ujam
 {
 
-namespace
-{
-
-/**
- * Absorption points shared by the full and partitioned table
- * builders; partition may be empty (every leader in one class).
- */
-std::vector<std::vector<IntVector>>
-collectPoints(const RatMatrix &subscript,
-              const std::vector<IntVector> &leaders,
-              const std::vector<std::size_t> &partition,
-              const std::vector<bool> &absorbable,
-              const Subspace &localized, const UnrollSpace &space)
+std::vector<std::vector<MergeEdge>>
+collectMergeEdges(const RatMatrix &subscript,
+                  const std::vector<IntVector> &leaders,
+                  const std::vector<std::size_t> &partition,
+                  const std::vector<bool> &absorbable,
+                  const Subspace &localized, const UnrollSpace &space)
 {
     const std::size_t n = leaders.size();
     const std::vector<bool> unrollable = space.unrollableFlags();
-    std::vector<std::vector<IntVector>> points(n);
+    std::vector<std::vector<MergeEdge>> edges(n);
 
     auto same_class = [&](std::size_t a, std::size_t b) {
         return partition.empty() || partition[a] == partition[b];
@@ -54,7 +47,7 @@ collectPoints(const RatMatrix &subscript,
                                          std::vector<bool>(space.depth(),
                                                            false));
             if (shift.has_value())
-                points[k].push_back(unit);
+                edges[k].push_back({k, unit});
         }
 
         // Pairwise absorption: copies of k coincide with copies of j
@@ -68,11 +61,14 @@ collectPoints(const RatMatrix &subscript,
             if (!shift.has_value() || shift->isZero())
                 continue;
             if (shift->allLessEq(space.maxVector()))
-                points[k].push_back(*shift);
+                edges[k].push_back({j, *shift});
         }
     }
-    return points;
+    return edges;
 }
+
+namespace
+{
 
 UnrollTable
 buildTable(const RatMatrix &subscript,
@@ -82,24 +78,24 @@ buildTable(const RatMatrix &subscript,
            const Subspace &localized, const UnrollSpace &space)
 {
     const std::size_t n = leaders.size();
-    auto points = collectPoints(subscript, leaders, partition, absorbable,
-                                localized, space);
+    auto edges = collectMergeEdges(subscript, leaders, partition,
+                                   absorbable, localized, space);
 
     // new_sets[u'] = number of leaders whose copy at offset u' starts
     // a new set (initialized to all of them, decremented once per
     // absorbed leader). A leader is absorbed at u' when any of its
-    // points fits below u': the union of the points' upward boxes.
+    // shifts fits below u': the union of the shifts' upward boxes.
     // Mark that union with stride-walk box adds into a scratch table
     // (re-zeroed per leader) instead of decoding every space point
     // per leader.
     UnrollTable new_sets(space, static_cast<std::int64_t>(n));
     UnrollTable marked(space, 0);
     for (std::size_t k = 0; k < n; ++k) {
-        if (points[k].empty())
+        if (edges[k].empty())
             continue;
         marked.fill(0);
-        for (const IntVector &point : points[k])
-            marked.addBox(point, 1);
+        for (const MergeEdge &edge : edges[k])
+            marked.addBox(edge.shift, 1);
         for (std::size_t i = 0; i < space.size(); ++i) {
             if (marked.atIndex(i) > 0)
                 new_sets.atIndex(i) -= 1;
@@ -109,15 +105,6 @@ buildTable(const RatMatrix &subscript,
 }
 
 } // namespace
-
-std::vector<std::vector<IntVector>>
-collectAbsorptionPoints(const RatMatrix &subscript,
-                        const std::vector<IntVector> &leaders,
-                        const Subspace &localized,
-                        const UnrollSpace &space)
-{
-    return collectPoints(subscript, leaders, {}, {}, localized, space);
-}
 
 UnrollTable
 computeSetCountTable(const RatMatrix &subscript,

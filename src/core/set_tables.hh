@@ -30,22 +30,38 @@
 namespace ujam
 {
 
+/** Copy (k, u') of leader k coincides with copy (absorber, u' - shift). */
+struct MergeEdge
+{
+    std::size_t absorber; //!< k itself for a self-merge
+    IntVector shift;      //!< u*, nonnegative on the unrolled dims
+};
+
 /**
- * Collect, for every leader, its absorption points: unroll offsets at
- * and beyond which its copies no longer start new sets.
+ * Collect, for every leader, the merges that stop its copies from
+ * starting new sets. Self-merges come first: a leader invariant along
+ * an unrolled dim merges with itself at shift e_dim. Then the
+ * pairwise merges within a class: H u* = cj - ck (mod localized), for
+ * nonzero u* inside the space.
  *
- * @param subscript The set's common H (use the spatial variant and
- *                  spatially-masked offsets for GSS tables).
- * @param leaders   Lex-ordered leader offset vectors.
- * @param localized The localized iteration space.
- * @param space     The unroll space (limits which dims may shift).
- * @return Per-leader lists of absorption points inside the space.
+ * @param subscript  The set's common H (use the spatial variant and
+ *                   spatially-masked offsets for GSS tables).
+ * @param leaders    Lex-ordered leader offset vectors.
+ * @param partition  Class id per leader; merges across classes are
+ *                   ignored. Empty = one class.
+ * @param absorbable Per-leader flag: false = the leader's copies
+ *                   always start new sets, so it gets no edges.
+ *                   Empty = every leader is absorbable.
+ * @param localized  The localized iteration space.
+ * @param space      The unroll space (limits which dims may shift).
+ * @return edges[k] = leader k's merges.
  */
-std::vector<std::vector<IntVector>>
-collectAbsorptionPoints(const RatMatrix &subscript,
-                        const std::vector<IntVector> &leaders,
-                        const Subspace &localized,
-                        const UnrollSpace &space);
+std::vector<std::vector<MergeEdge>>
+collectMergeEdges(const RatMatrix &subscript,
+                  const std::vector<IntVector> &leaders,
+                  const std::vector<std::size_t> &partition,
+                  const std::vector<bool> &absorbable,
+                  const Subspace &localized, const UnrollSpace &space);
 
 /**
  * The paper's ComputeTable + Sum: number of reuse sets after

@@ -4,7 +4,6 @@
 #include <functional>
 #include <numeric>
 
-#include "linalg/merge_solver.hh"
 #include "support/diagnostics.hh"
 
 namespace ujam
@@ -67,68 +66,22 @@ computeRegisterTable(const UniformlyGeneratedSet &ugs,
         phase_hi[r] = phase_lo[r] + set.registersNeeded - 1;
     }
 
-    // Absorption points restricted to each MRRS.
+    // Merges restricted to each MRRS. Def-headed chains never merge
+    // into another chain (each store issues) -- except in invariant
+    // sets, where coinciding copies are the same location.
     std::vector<IntVector> leaders(nsets);
     std::vector<std::size_t> classes(nsets);
+    std::vector<bool> absorbable(nsets);
+    const bool invariant = ugs.innerInvariant();
     for (std::size_t r = 0; r < nsets; ++r) {
         leaders[r] = rrs.sets[r].leaderOffset;
         classes[r] = rrs.sets[r].mrrs;
+        absorbable[r] = invariant || !rrs.sets[r].generatorIsDef;
     }
-
-    // points[k] = (absorber j, shift u*): copy (k, u') coincides with
-    // copy (j, u' - u*).
-    struct MergeEdge
-    {
-        std::size_t absorber;
-        IntVector shift;
-    };
-    std::vector<std::vector<MergeEdge>> edges(nsets);
-    const std::vector<bool> unrollable = space.unrollableFlags();
-    const RatMatrix &subscript = ugs.subscript;
     Subspace inner = Subspace::coordinate(space.depth(),
                                           {space.depth() - 1});
-
-    const bool invariant = ugs.innerInvariant();
-    for (std::size_t k = 0; k < nsets; ++k) {
-        // Def-headed chains never merge into another chain (each store
-        // issues) -- except in invariant sets, where coinciding copies
-        // are the same location.
-        if (!invariant && rrs.sets[k].generatorIsDef)
-            continue;
-        for (std::size_t j = 0; j < nsets; ++j) {
-            if (j == k || classes[j] != classes[k])
-                continue;
-            IntVector delta = leaders[j] - leaders[k];
-            auto shift = solveMergeShift(subscript, delta, inner,
-                                         unrollable);
-            if (!shift.has_value() || shift->isZero())
-                continue;
-            if (shift->allLessEq(space.maxVector()))
-                edges[k].push_back({j, *shift});
-        }
-        // Self-absorption along invariant unrolled dims.
-        for (std::size_t dim : space.dims()) {
-            IntVector unit(space.depth());
-            unit[dim] = 1;
-            RatVector image = subscript.apply(unit);
-            IntVector target(subscript.rows());
-            bool integral = true;
-            for (std::size_t r = 0; r < image.size(); ++r) {
-                if (!image[r].isInteger()) {
-                    integral = false;
-                    break;
-                }
-                target[r] = -image[r].toInteger();
-            }
-            if (!integral)
-                continue;
-            auto shift = solveMergeShift(
-                subscript, target, inner,
-                std::vector<bool>(space.depth(), false));
-            if (shift.has_value())
-                edges[k].push_back({k, unit});
-        }
-    }
+    const std::vector<std::vector<MergeEdge>> edges = collectMergeEdges(
+        ugs.subscript, leaders, classes, absorbable, inner, space);
 
     // Fill the table one row at a time, in dense-index order. A row
     // fixes the slower digits at p and walks the fastest digit t from

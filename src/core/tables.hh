@@ -88,7 +88,7 @@ NestTables buildNestTables(const LoopNest &nest, const UnrollSpace &space,
  *
  * Chains are the connected components of RRS copies under the merge
  * points; each chain needs its touch-phase span plus one registers.
- * Computed from precomputed absorption points only.
+ * Computed from the merges collectMergeEdges finds.
  *
  * Filled by a row sweep in dense-index order: each row of slower
  * digits starts a fresh union-find, and each step of the fastest

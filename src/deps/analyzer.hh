@@ -50,7 +50,7 @@ struct DepOptions
     bool rangePrune = false;
 
     /** Parameter bindings the pre-filter evaluates bounds under. */
-    ParamBindings params;
+    ParamBindings params{};
 
     /** When non-null, receives one entry per deleted edge. */
     std::vector<PrunedEdge> *pruned = nullptr;

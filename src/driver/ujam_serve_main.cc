@@ -5,7 +5,9 @@
  *     ujam-serve --batch [OPTIONS]          read NDJSON requests from
  *                                           stdin, answer on stdout
  *     ujam-serve --socket PATH [OPTIONS]    serve a Unix domain socket
- *                                           until a shutdown request
+ *                                           under the supervisor until
+ *                                           a shutdown request or
+ *                                           SIGTERM/SIGINT
  *     ujam-serve --client PATH [FILE]       send FILE's (or stdin's)
  *                                           frames to a running server
  *
@@ -19,9 +21,11 @@
  *     --deadline-ms N    default deadline for requests without one
  *     --idle-timeout-ms N  close connections idle this long (0 = off)
  *     --dump-metrics     print the metrics document to stderr on exit
+ *                        (socket mode: the supervisor's service-wide
+ *                        document, whose cache.memory_entries reads 0)
  *
- * Multi-worker socket mode (see service/supervisor.hh):
- *     --workers N        fork N supervised worker processes; a crash
+ * Socket mode (always supervised, see service/supervisor.hh):
+ *     --workers N        fork N worker processes (default 1); a crash
  *                        kills only that worker's connections and the
  *                        slot restarts with backoff
  *     --drain-ms N       shutdown drain deadline before SIGKILL
@@ -37,9 +41,9 @@
  *                        idempotent, see service/client.hh)
  *
  * See service/protocol.hh for the wire format. Exit status: 0 on a
- * clean run, 2 on usage or startup errors; a supervised run exits 3
- * after degrading to cache-only mode and 4 when shutdown had to
- * SIGKILL a straggling worker.
+ * clean run, 2 on usage or startup errors; socket mode exits 3 after
+ * degrading to cache-only mode and 4 when shutdown had to SIGKILL a
+ * straggling worker.
  */
 
 #include <cstdio>
@@ -67,7 +71,7 @@ usage()
         "       [--cache-mem N] [--cache-max-bytes N]\n"
         "       [--deadline-ms N] [--idle-timeout-ms N] "
         "[--dump-metrics]\n"
-        "       [--workers N] [--drain-ms N]\n"
+        "       [--workers N (default 1)] [--drain-ms N]\n"
         "       [--breaker-crashes N] [--breaker-window-ms N]\n"
         "       [--backoff-base-ms N] [--backoff-max-ms N] "
         "[--retries N]\n");
@@ -117,7 +121,7 @@ main(int argc, char **argv)
     Mode mode = Mode::None;
     ServerConfig config;
     SupervisorConfig supervision;
-    std::size_t workers = 0;
+    std::string socket_path;
     std::string client_file;
     bool dump_metrics = false;
     int retries = 3;
@@ -135,10 +139,10 @@ main(int argc, char **argv)
             mode = Mode::Batch;
         } else if (std::strcmp(arg, "--socket") == 0 && i + 1 < argc) {
             mode = Mode::Socket;
-            config.socketPath = argv[++i];
+            socket_path = argv[++i];
         } else if (std::strcmp(arg, "--client") == 0 && i + 1 < argc) {
             mode = Mode::Client;
-            config.socketPath = argv[++i];
+            socket_path = argv[++i];
         } else if (std::strcmp(arg, "--threads") == 0 && i + 1 < argc) {
             count(argv[++i], config.threads);
         } else if (std::strcmp(arg, "--cache-dir") == 0 &&
@@ -157,7 +161,7 @@ main(int argc, char **argv)
                    i + 1 < argc) {
             count(argv[++i], config.idleTimeoutMs);
         } else if (std::strcmp(arg, "--workers") == 0 && i + 1 < argc) {
-            count(argv[++i], workers);
+            count(argv[++i], supervision.workers);
         } else if (std::strcmp(arg, "--drain-ms") == 0 &&
                    i + 1 < argc) {
             count(argv[++i], supervision.drainMs);
@@ -199,19 +203,19 @@ main(int argc, char **argv)
 
     if (mode == Mode::Client) {
         if (client_file.empty())
-            return runClient(config.socketPath, std::cin, retries);
+            return runClient(socket_path, std::cin, retries);
         std::ifstream in(client_file);
         if (!in) {
             std::fprintf(stderr, "ujam-serve: cannot open '%s'\n",
                          client_file.c_str());
             return 2;
         }
-        return runClient(config.socketPath, in, retries);
+        return runClient(socket_path, in, retries);
     }
 
-    if (mode == Mode::Socket && workers > 0) {
+    if (mode == Mode::Socket) {
+        supervision.socketPath = socket_path;
         supervision.server = std::move(config);
-        supervision.workers = workers;
         supervision.dumpMetrics = dump_metrics;
         try {
             Supervisor supervisor(std::move(supervision));
@@ -224,13 +228,7 @@ main(int argc, char **argv)
 
     try {
         UjamServer server(std::move(config));
-        if (mode == Mode::Batch) {
-            server.runBatch(std::cin, std::cout);
-        } else {
-            server.start();
-            server.waitForShutdown();
-            server.stop();
-        }
+        server.runBatch(std::cin, std::cout);
         if (dump_metrics) {
             std::fprintf(stderr, "%s\n",
                          server.metricsSnapshot().c_str());

@@ -328,18 +328,6 @@ Interpreter::scalar(const std::string &name) const
     return it == scalars_.end() ? 0.0 : it->second;
 }
 
-std::int64_t
-Interpreter::elementAddress(
-    const std::string &name,
-    const std::vector<std::int64_t> &subscripts) const
-{
-    const ArrayStorage &array = storage(name);
-    std::int64_t index = 0;
-    for (std::size_t d = 0; d < subscripts.size(); ++d)
-        index += (subscripts[d] - 1 + haloElems) * array.strides[d];
-    return array.base + index;
-}
-
 std::string
 Interpreter::compareArrays(const Interpreter &other, double rel_tol) const
 {

@@ -89,11 +89,6 @@ class Interpreter
     /** @return The resolved parameter bindings. */
     const ParamBindings &params() const { return params_; }
 
-    /** @return Global element address of a 1-based subscript tuple. */
-    std::int64_t elementAddress(
-        const std::string &name,
-        const std::vector<std::int64_t> &subscripts) const;
-
     /** Dynamic statistics. */
     std::uint64_t loadCount() const { return loads_; }
     std::uint64_t storeCount() const { return stores_; }

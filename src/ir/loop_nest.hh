@@ -38,7 +38,7 @@ struct Loop
     Bound lower;           //!< first value
     Bound upper;           //!< last value (inclusive)
     std::int64_t step = 1; //!< increment; always positive
-    SourceLoc loc;         //!< the 'do' keyword's source position
+    SourceLoc loc{};       //!< the 'do' keyword's source position
 
     /** @return Trip count for concrete parameter bindings (>= 0). */
     std::int64_t tripCount(const ParamBindings &params) const;

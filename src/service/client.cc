@@ -1,5 +1,6 @@
 #include "service/client.hh"
 
+#include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -45,11 +46,23 @@ ServeClient::connect(const std::string &socket_path, int retry_ms)
         std::chrono::steady_clock::now() +
         std::chrono::milliseconds(retry_ms);
     while (true) {
-        int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+        // Non-blocking, so a full listen backlog fails at once with
+        // EAGAIN and is retried like a missing socket: a blocking
+        // connect would sleep until some server thread accepts,
+        // however long that takes.
+        int fd = ::socket(AF_UNIX,
+                          SOCK_STREAM | SOCK_CLOEXEC | SOCK_NONBLOCK, 0);
         if (fd < 0)
             return false;
         if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
                       sizeof(addr)) == 0) {
+            // request() relies on blocking send and recv.
+            int flags = ::fcntl(fd, F_GETFL);
+            if (flags < 0 ||
+                ::fcntl(fd, F_SETFL, flags & ~O_NONBLOCK) != 0) {
+                ::close(fd);
+                return false;
+            }
             fd_ = fd;
             socketPath_ = socket_path;
             return true;

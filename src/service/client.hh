@@ -38,7 +38,8 @@ class ServeClient
      *
      * @param socket_path The server's Unix-domain-socket path.
      * @param retry_ms    Keep retrying for this long before failing
-     *                    (covers a server still binding).
+     *                    (covers a server still binding, or a listen
+     *                    backlog that is full).
      * @return True once connected.
      */
     bool connect(const std::string &socket_path, int retry_ms = 2000);

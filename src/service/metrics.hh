@@ -191,7 +191,7 @@ struct SupervisorStats
  * @return The metrics as a stable one-line JSON document. Gauge
  * fields the cache owns (entry counts) are passed in by the caller;
  * the disk counters render from metrics.cacheCounters. A null
- * supervisor omits the "supervisor" section (single-process mode).
+ * supervisor omits the "supervisor" section (batch mode).
  */
 std::string metricsJson(const ServiceMetrics &metrics,
                         const CacheStats &cache,

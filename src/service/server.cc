@@ -164,11 +164,8 @@ UjamServer::stopping() const
 void
 UjamServer::requestStop()
 {
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        stopRequested_ = true;
-    }
-    stopped_.notify_all();
+    std::lock_guard<std::mutex> lock(mutex_);
+    stopRequested_ = true;
 }
 
 // --- request execution -----------------------------------------------------
@@ -202,7 +199,6 @@ UjamServer::applyWorkerFaults(std::uint64_t serial)
 
 std::string
 UjamServer::runOptimize(const ServiceRequest &request,
-                        Clock::time_point arrival,
                         Clock::time_point deadline, bool has_deadline)
 {
     const char *op_name = serviceOpName(request.op);
@@ -328,30 +324,8 @@ UjamServer::runOptimize(const ServiceRequest &request,
             Clock::time_point render_start = Clock::now();
             result_json = lintResultJson(lint);
             metrics_.renderLatency.record(microsSince(render_start));
-        } else if (request.op == ServiceOp::Codegen) {
-            PipelineResult result =
-                optimizeProgram(program, request.machine, config);
-            metrics_.optimizeLatency.record(microsSince(run_start));
-
-            metrics_.nestsOptimized.add(result.outcomes.size());
-            metrics_.containedFaults.add(result.containedFaults());
-            for (const NestOutcome &outcome : result.outcomes) {
-                if (outcome.lintSkipped)
-                    metrics_.lintRejections.add();
-            }
-
-            Clock::time_point render_start = Clock::now();
-            CodegenOptions emit = request.codegen;
-            emit.variantLabel = "original";
-            CodegenUnit original = emitCProgram(program, emit);
-            emit.variantLabel = "transformed";
-            CodegenUnit transformed =
-                emitCProgram(result.program, emit);
-            result_json = codegenResultJson(result, original,
-                                            transformed,
-                                            request.codegen.seed);
-            metrics_.renderLatency.record(microsSince(render_start));
         } else {
+            // optimize and codegen both run the whole pipeline.
             PipelineResult result =
                 optimizeProgram(program, request.machine, config);
             metrics_.optimizeLatency.record(microsSince(run_start));
@@ -364,7 +338,19 @@ UjamServer::runOptimize(const ServiceRequest &request,
             }
 
             Clock::time_point render_start = Clock::now();
-            result_json = pipelineResultJson(result);
+            if (request.op == ServiceOp::Codegen) {
+                CodegenOptions emit = request.codegen;
+                emit.variantLabel = "original";
+                CodegenUnit original = emitCProgram(program, emit);
+                emit.variantLabel = "transformed";
+                CodegenUnit transformed =
+                    emitCProgram(result.program, emit);
+                result_json = codegenResultJson(result, original,
+                                                transformed,
+                                                request.codegen.seed);
+            } else {
+                result_json = pipelineResultJson(result);
+            }
             metrics_.renderLatency.record(microsSince(render_start));
         }
     } catch (const FatalError &err) {
@@ -392,7 +378,6 @@ UjamServer::runOptimize(const ServiceRequest &request,
         metrics_.cacheStores.add();
     }
     metrics_.requestsOk.add();
-    (void)arrival;
     return okResponse(request.id, op_name, result_json);
 }
 
@@ -440,7 +425,7 @@ UjamServer::process(const ServiceRequest &request,
       case ServiceOp::Lint:
       case ServiceOp::Codegen:
       case ServiceOp::Tune:
-        return runOptimize(request, arrival, deadline, has_deadline);
+        return runOptimize(request, deadline, has_deadline);
     }
     metrics_.requestsError.add();
     return errorResponse(request.id, op_name, "error", "unhandled op");
@@ -538,21 +523,11 @@ UjamServer::start()
     // Writing to a client that vanished must be an error return in
     // writeAll, never a process-killing SIGPIPE.
     ::signal(SIGPIPE, SIG_IGN);
-
-    if (config_.listenFd >= 0) {
-        // A supervisor bound the socket before forking us; every
-        // worker accepts on the shared fd.
-        listenFd_ = config_.listenFd;
-        ownsListenSocket_ = false;
-    } else {
-        listenFd_ = bindListenSocket(config_.socketPath);
-        ownsListenSocket_ = true;
-    }
+    UJAM_ASSERT(config_.listenFd >= 0, "no listening socket to serve");
 
     {
         std::lock_guard<std::mutex> lock(mutex_);
         stopRequested_ = false;
-        started_ = true;
     }
     for (std::size_t t = 0; t < config_.threads; ++t)
         threads_.emplace_back([this] { serveLoop(); });
@@ -565,11 +540,12 @@ UjamServer::serveLoop()
     // thread can serve yet stays in the listen backlog, where a free
     // thread of any worker on the listener can take it.
     while (!stopping()) {
-        pollfd poller{listenFd_, POLLIN, 0};
+        pollfd poller{config_.listenFd, POLLIN, 0};
         int ready = ::poll(&poller, 1, 100);
         if (ready <= 0)
             continue; // timeout, EINTR or transient error: re-check
-        int fd = ::accept4(listenFd_, nullptr, nullptr, SOCK_CLOEXEC);
+        int fd = ::accept4(config_.listenFd, nullptr, nullptr,
+                           SOCK_CLOEXEC);
         if (fd < 0)
             continue; // EAGAIN (another thread won it), EINTR, ECONNABORTED
         handleConnection(fd);
@@ -660,31 +636,6 @@ UjamServer::stop()
             thread.join();
     }
     threads_.clear();
-
-    bool was_started;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        was_started = started_;
-        started_ = false;
-    }
-    if (listenFd_ >= 0) {
-        // An adopted fd is the supervisor's to close: other workers
-        // are still accepting on it.
-        if (ownsListenSocket_)
-            ::close(listenFd_);
-        listenFd_ = -1;
-    }
-    if (was_started && ownsListenSocket_ &&
-        !config_.socketPath.empty())
-        ::unlink(config_.socketPath.c_str());
-    ownsListenSocket_ = false;
-}
-
-void
-UjamServer::waitForShutdown()
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    stopped_.wait(lock, [this] { return stopRequested_; });
 }
 
 } // namespace ujam

@@ -7,17 +7,18 @@
  * frames:
  *
  *  - runBatch(): read request lines from a stream, answer on another
- *    (stdin/stdout in the CLI). Lines are processed by a private
- *    worker group into index-addressed slots and emitted in input
- *    order, so batch output is bit-identical at every thread count.
- *  - start()/stop(): a Unix-domain socket served by `threads`
- *    identical threads. Each one polls the listener, accepts one
- *    connection when it is free, serves it to the end and goes back
- *    to polling. A connection that finds every thread busy waits in
- *    the kernel's listen backlog -- the only queue -- until a free
- *    thread of this server, or of a sibling worker on the same
- *    listener, takes it. Threads poll with a short timeout so a
- *    graceful stop never hangs on an idle client.
+ *    (stdin/stdout in the CLI). Lines run through parallelFor into
+ *    index-addressed slots and are emitted in input order, so batch
+ *    output is bit-identical at every thread count.
+ *  - start()/stop(): serve the listening socket the caller hands in
+ *    (ServerConfig::listenFd) with `threads` identical threads. Each
+ *    one polls the listener, accepts one connection when it is free,
+ *    serves it to the end and goes back to polling. A connection
+ *    that finds every thread busy waits in the kernel's listen
+ *    backlog -- the only queue -- until a free thread of this
+ *    server, or of a sibling worker on the same listener, takes it.
+ *    Threads poll with a short timeout so a graceful stop never
+ *    hangs on an idle client.
  *
  * Per-request deadlines ("deadline_ms", measured from receipt) are
  * checked at stage boundaries -- receipt, post-parse, post-optimize
@@ -30,17 +31,18 @@
  * parallelizes across requests, which keeps every response a pure --
  * and therefore cacheable -- function of its request.
  *
- * Multi-process operation (see service/supervisor.hh): a worker
- * server adopts the supervisor's pre-bound listening socket
- * (ServerConfig::listenFd) -- the AF_UNIX analogue of SO_REUSEPORT:
- * every free thread of every worker accepts on the shared,
- * non-blocking fd (see bindListenSocket). Workers
- * record into a shared-memory ServiceMetrics block
- * (ServerConfig::sharedMetrics) so the `metrics` op aggregates
- * service-wide totals from any worker. A server in degraded mode
- * (ServerConfig::degraded, entered by the supervisor's circuit
- * breaker) answers pipeline ops from the cache only and rejects
- * misses with status "degraded" instead of computing.
+ * Socket serving is always supervised (see service/supervisor.hh):
+ * the supervisor binds the listener, and each worker server adopts
+ * the pre-bound fd -- the AF_UNIX analogue of SO_REUSEPORT: every
+ * free thread of every worker accepts on the shared, non-blocking fd
+ * (see bindListenSocket). The server never binds, closes or unlinks
+ * a listener; whoever bound it does. Workers record into a
+ * shared-memory ServiceMetrics block (ServerConfig::sharedMetrics)
+ * so the `metrics` op aggregates service-wide totals from any
+ * worker. A server in degraded mode (ServerConfig::degraded, entered
+ * by the supervisor's circuit breaker) answers pipeline ops from the
+ * cache only and rejects misses with status "degraded" instead of
+ * computing.
  */
 
 #ifndef UJAM_SERVICE_SERVER_HH
@@ -48,7 +50,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
@@ -85,7 +86,6 @@ int bindListenSocket(const std::string &path);
 /** Server construction knobs. */
 struct ServerConfig
 {
-    std::string socketPath;      //!< socket mode listen path
     /** Socket mode: threads that each accept and serve their own
      * connections. Batch mode: the parallelFor width. 0 = one per
      * core. */
@@ -102,10 +102,9 @@ struct ServerConfig
     std::int64_t idleTimeoutMs = 0;
 
     // --- multi-process plumbing (set by the supervisor) ---
-    /** Adopt this listening socket from bindListenSocket instead of
-     * binding socketPath; -1 = bind our own. An adopting server neither
-     * closes the fd's last reference semantics nor unlinks the path
-     * on stop -- the supervisor owns both. */
+    /** The listening socket (from bindListenSocket) that start()
+     * serves; -1 = none (batch mode). The server never closes it or
+     * unlinks its path: whoever bound it owns both. */
     int listenFd = -1;
     /** Cache-only mode: pipeline ops answer from the cache or are
      * rejected with status "degraded"; nothing is computed. */
@@ -114,9 +113,9 @@ struct ServerConfig
      * private one, so counters aggregate across workers. */
     ServiceMetrics *sharedMetrics = nullptr;
     /** Renders the supervision section of the metrics document;
-     * unset in single-process mode. */
+     * unset outside a supervisor (batch mode, in-process tests). */
     std::function<SupervisorStats()> supervisorStats;
-    /** This worker's index under a supervisor; -1 = single process
+    /** This worker's index under a supervisor; -1 = outside one
      * (treated as worker 0 for fault-spec filtering). */
     int workerIndex = -1;
     /** Process-level fault specs for this worker. Unset (nullopt) =
@@ -163,20 +162,18 @@ class UjamServer
     std::size_t runBatch(std::istream &in, std::ostream &out);
 
     /**
-     * Socket mode: bind, listen and serve until stop().
-     * @throws FatalError when the socket cannot be created or bound.
+     * Socket mode: start the threads that serve ServerConfig::listenFd
+     * until stop().
+     * @pre ServerConfig::listenFd is a listening socket.
      */
     void start();
 
     /**
      * Graceful stop: stop accepting, let every thread finish its
-     * current frame, join them, unlink the socket. Idempotent; also
-     * runs from the destructor.
+     * current frame and join them. The listener stays open.
+     * Idempotent; also runs from the destructor.
      */
     void stop();
-
-    /** Block until a shutdown request (or stop()) arrives. */
-    void waitForShutdown();
 
     /** @return True once a stop was requested. */
     bool stopping() const;
@@ -199,7 +196,6 @@ class UjamServer
                         std::chrono::steady_clock::time_point arrival);
     std::string runOptimize(
         const ServiceRequest &request,
-        std::chrono::steady_clock::time_point arrival,
         std::chrono::steady_clock::time_point deadline,
         bool has_deadline);
     /** Fire any worker-level faults matching this request serial. */
@@ -214,13 +210,8 @@ class UjamServer
     std::vector<ProcessFaultSpec> workerFaults_;
     std::atomic<std::uint64_t> requestSerial_{0};
 
-    int listenFd_ = -1;
-    bool ownsListenSocket_ = false; //!< we bound it; unlink on stop
-
     mutable std::mutex mutex_;
-    std::condition_variable stopped_; //!< waitForShutdown
     bool stopRequested_ = false;
-    bool started_ = false;
     std::vector<std::thread> threads_; //!< serving threads
 };
 

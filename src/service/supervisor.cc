@@ -477,8 +477,8 @@ Supervisor::Impl::runDegraded()
     }
     degradedServer->stop();
     degradedServer.reset();
-    if (!config.server.socketPath.empty())
-        ::unlink(config.server.socketPath.c_str());
+    if (!config.socketPath.empty())
+        ::unlink(config.socketPath.c_str());
     return finalExitCode();
 }
 
@@ -498,7 +498,7 @@ Supervisor::Impl::run()
     ::sigprocmask(SIG_BLOCK, &mask, nullptr);
 
     mapShared();
-    listenFd = bindListenSocket(config.server.socketPath);
+    listenFd = bindListenSocket(config.socketPath);
 
     std::size_t workers = std::max<std::size_t>(config.workers, 1);
     workers = std::min(workers, kMaxWorkers);
@@ -536,8 +536,8 @@ Supervisor::Impl::run()
 
     ::close(listenFd);
     listenFd = -1;
-    if (!config.server.socketPath.empty())
-        ::unlink(config.server.socketPath.c_str());
+    if (!config.socketPath.empty())
+        ::unlink(config.socketPath.c_str());
 
     if (config.dumpMetrics) {
         CacheStats cache;

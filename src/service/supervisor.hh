@@ -1,7 +1,9 @@
 /**
  * @file
  * The ujam-serve supervision tree: crash containment for the
- * multi-worker service.
+ * socket service. `ujam-serve --socket` always runs here, with one
+ * worker unless `--workers N` asks for more; the supervisor is the
+ * only code that binds, drains and unlinks the listening socket.
  *
  * The supervisor binds the listening socket once, forks N worker
  * processes that each run a full UjamServer on the shared fd (the
@@ -69,11 +71,13 @@ constexpr int kExitForcedKill = 4;
 /** Supervision knobs. */
 struct SupervisorConfig
 {
-    /** Per-worker server template. socketPath names the socket the
-     * supervisor binds; listenFd/sharedMetrics are filled in per
-     * worker and must be left unset. */
+    /** The socket the supervisor binds, serves through its workers
+     * and unlinks on exit. */
+    std::string socketPath;
+    /** Per-worker server template; listenFd/sharedMetrics are filled
+     * in per worker and must be left unset. */
     ServerConfig server;
-    std::size_t workers = 2; //!< clamped to [1, kMaxWorkers]
+    std::size_t workers = 1; //!< clamped to [1, kMaxWorkers]
 
     /** Circuit breaker: > breakerCrashes crashes within
      * breakerWindowMs degrade the service to cache-only. */

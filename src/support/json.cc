@@ -46,7 +46,10 @@ jsonEscape(const std::string &text)
 std::string
 jsonQuote(const std::string &text)
 {
-    return "\"" + jsonEscape(text) + "\"";
+    std::string quoted = "\"";
+    quoted += jsonEscape(text);
+    quoted += '"';
+    return quoted;
 }
 
 // --- writer ----------------------------------------------------------------

@@ -116,7 +116,6 @@ struct JsonValue
     std::vector<JsonValue> elements;                       //!< arrays
     std::vector<std::pair<std::string, JsonValue>> members; //!< objects
 
-    bool isNull() const { return kind == Kind::Null; }
     bool isBool() const { return kind == Kind::Bool; }
     bool isNumber() const { return kind == Kind::Number; }
     bool isString() const { return kind == Kind::String; }

@@ -72,12 +72,6 @@ Rational::toInteger() const
     return num_;
 }
 
-double
-Rational::toDouble() const
-{
-    return static_cast<double>(num_) / static_cast<double>(den_);
-}
-
 std::int64_t
 Rational::floor() const
 {

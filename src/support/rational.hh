@@ -59,9 +59,6 @@ class Rational
      */
     std::int64_t toInteger() const;
 
-    /** @return The value as a double (approximate). */
-    double toDouble() const;
-
     /** @return Largest integer not greater than the value. */
     std::int64_t floor() const;
     /** @return Smallest integer not less than the value. */

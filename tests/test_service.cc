@@ -16,6 +16,7 @@
 #include <fcntl.h>
 #include <sys/socket.h>
 #include <sys/time.h>
+#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -684,15 +685,15 @@ TEST(ServiceCli, OutOfRangeFaultNumberIsAFatalError)
 
 TEST(ServiceSocket, ConcurrentClientsDeadlinesAndShutdown)
 {
-    ServerConfig config;
-    config.socketPath = "/tmp/ujam-serve-test-" +
-                        std::to_string(getpid()) + ".sock";
-    config.threads = 4;
-    UjamServer server(std::move(config));
-    server.start();
     const std::string socket_path = "/tmp/ujam-serve-test-" +
                                     std::to_string(getpid()) +
                                     ".sock";
+    ServerConfig config;
+    config.threads = 4;
+    config.listenFd = bindListenSocket(socket_path);
+    int listener = config.listenFd;
+    UjamServer server(std::move(config));
+    server.start();
 
     std::string optimize_line = requestLine("optimize", "c", kSource);
     std::atomic<int> failures{0};
@@ -733,9 +734,11 @@ TEST(ServiceSocket, ConcurrentClientsDeadlinesAndShutdown)
     ASSERT_TRUE(closer.connect(socket_path));
     EXPECT_EQ(responseStatus(closer.request("{\"op\": \"shutdown\"}")),
               "ok");
-    server.waitForShutdown();
+    EXPECT_TRUE(server.stopping());
     server.stop();
     EXPECT_GT(server.metrics().cacheMemoryHits.get(), 0u);
+    ::close(listener);
+    ::unlink(socket_path.c_str());
 }
 
 TEST(ServiceSocket, SharedListenerDrainsWithoutBlocking)
@@ -770,6 +773,61 @@ TEST(ServiceSocket, SharedListenerDrainsWithoutBlocking)
     ::close(accepted);
     client.close();
     ::close(listener);
+    ::unlink(path.c_str());
+}
+
+TEST(ServiceClient, ConnectGivesUpOnAFullBacklog)
+{
+    // A listener that never accepts, with its backlog full: connect
+    // must give up after retry_ms, not sleep until an accept. Should
+    // it block anyway, closing the listener after 3 s wakes it, so a
+    // regression fails here instead of hanging the suite.
+    std::string path = "/tmp/ujam-backlog-test-" +
+                       std::to_string(getpid()) + ".sock";
+    ::unlink(path.c_str());
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+    auto *raw = reinterpret_cast<sockaddr *>(&addr);
+    int listener = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    ASSERT_GE(listener, 0);
+    ASSERT_EQ(::bind(listener, raw, sizeof(addr)), 0);
+    ASSERT_EQ(::listen(listener, 1), 0);
+
+    std::vector<int> pending;
+    for (int i = 0; i < 16; ++i) {
+        int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC |
+                                       SOCK_NONBLOCK, 0);
+        ASSERT_GE(fd, 0);
+        if (::connect(fd, raw, sizeof(addr)) != 0) {
+            ::close(fd); // EAGAIN: the backlog is full
+            break;
+        }
+        pending.push_back(fd);
+    }
+    ASSERT_LT(pending.size(), 16u) << "the backlog never filled";
+
+    std::atomic<bool> done{false};
+    bool connected = true;
+    std::chrono::steady_clock::duration took{};
+    std::thread attempt([&] {
+        auto start = std::chrono::steady_clock::now();
+        ServeClient client;
+        connected = client.connect(path, 200);
+        took = std::chrono::steady_clock::now() - start;
+        done = true;
+    });
+    auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(3);
+    while (!done && std::chrono::steady_clock::now() < give_up)
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    ::close(listener);
+    attempt.join();
+
+    EXPECT_FALSE(connected);
+    EXPECT_LT(took, std::chrono::seconds(1));
+    for (int fd : pending)
+        ::close(fd);
     ::unlink(path.c_str());
 }
 
@@ -1155,12 +1213,13 @@ TEST(ServiceDegraded, ServesHitsRejectsMisses)
 
 TEST(ServiceSocket, IdleConnectionsAreReaped)
 {
+    std::string socket_path = "/tmp/ujam-serve-idle-" +
+                              std::to_string(getpid()) + ".sock";
     ServerConfig config;
-    config.socketPath = "/tmp/ujam-serve-idle-" +
-                        std::to_string(getpid()) + ".sock";
     config.threads = 1;
     config.idleTimeoutMs = 100;
-    std::string socket_path = config.socketPath;
+    config.listenFd = bindListenSocket(socket_path);
+    int listener = config.listenFd;
     UjamServer server(std::move(config));
     server.start();
 
@@ -1180,6 +1239,8 @@ TEST(ServiceSocket, IdleConnectionsAreReaped)
     EXPECT_EQ(responseStatus(active.request("{\"op\": \"ping\"}")),
               "ok");
     server.stop();
+    ::close(listener);
+    ::unlink(socket_path.c_str());
 }
 
 // --- extended metrics schema ----------------------------------------

@@ -3,9 +3,10 @@
  * Supervision-tree tests (ctest -L serve-robust): worker crash
  * containment under concurrent clients, the crash-loop circuit
  * breaker into degraded cache-only mode, SIGTERM and shutdown-frame
- * draining, the restart-backoff and crash-window helpers,
- * and one exec-based test that kill -9s a worker of the real
- * ujam-serve binary mid-service.
+ * draining, the restart-backoff and crash-window helpers, and two
+ * exec-based tests of the real ujam-serve binary: one kill -9s a
+ * worker mid-service, one SIGTERMs `--socket` run without
+ * `--workers`.
  *
  * The in-process tests fork() a Supervisor from the test binary.
  * That is safe here -- and only here -- because the supervisor is
@@ -228,7 +229,7 @@ TEST(SupervisorRobust, WorkerCrashLosesOnlyItsConnections)
     }
 
     SupervisorConfig config;
-    config.server.socketPath = sock;
+    config.socketPath = sock;
     config.server.cacheDir = dir;
     config.server.threads = 2;
     // A worker is SIGKILLed while serving its second request -- once
@@ -310,7 +311,7 @@ TEST(SupervisorRobust, CrashLoopTripsBreakerIntoCacheOnlyMode)
     }
 
     SupervisorConfig config;
-    config.server.socketPath = sock;
+    config.socketPath = sock;
     config.server.cacheDir = dir;
     config.server.threads = 1;
     // Every pipeline request kills its worker: a reproducible crash.
@@ -367,7 +368,7 @@ TEST(SupervisorRobust, SigtermDrainsEveryWorker)
 {
     std::string sock = socketPath("sigterm");
     SupervisorConfig config;
-    config.server.socketPath = sock;
+    config.socketPath = sock;
     config.server.threads = 1;
     config.server.workerFaults = std::vector<ProcessFaultSpec>{};
     config.workers = 3;
@@ -390,7 +391,7 @@ TEST(SupervisorRobust, ShutdownFrameDrainsTheWholeService)
 {
     std::string sock = socketPath("shutdown");
     SupervisorConfig config;
-    config.server.socketPath = sock;
+    config.socketPath = sock;
     config.server.threads = 1;
     config.server.workerFaults = std::vector<ProcessFaultSpec>{};
     config.workers = 3;
@@ -405,9 +406,38 @@ TEST(SupervisorRobust, ShutdownFrameDrainsTheWholeService)
     EXPECT_EQ(waitForExit(supervisor), 0);
 }
 
-// --- the real binary, a real kill -9 --------------------------------
+// --- the real binary: SIGTERM and a real kill -9 ------------------
 
 #ifdef UJAM_SERVE_BIN
+TEST(SupervisorRobust, SocketModeWithoutWorkersDrainsOnSigterm)
+{
+    // `--socket` alone runs one supervised worker, so SIGTERM drains
+    // it like any supervised service: exit 0, socket file removed.
+    std::string sock = socketPath("plain");
+
+    pid_t server = ::fork();
+    ASSERT_GE(server, 0);
+    if (server == 0) {
+        ::execl(UJAM_SERVE_BIN, UJAM_SERVE_BIN, "--socket",
+                sock.c_str(), "--threads", "2",
+                static_cast<char *>(nullptr));
+        ::_exit(127);
+    }
+
+    // No ASSERT before the kill: a failed ping must not leave the
+    // server running.
+    ServeClient client;
+    EXPECT_TRUE(client.connect(sock, 5000));
+    EXPECT_EQ(responseStatus(client.request("{\"op\": \"ping\"}")),
+              "ok");
+    client.close();
+
+    ::kill(server, SIGTERM);
+    EXPECT_EQ(waitForExit(server), 0);
+    EXPECT_FALSE(std::filesystem::exists(sock));
+    std::filesystem::remove(sock);
+}
+
 TEST(SupervisorRobust, ExternalSigkillOfRealWorkerIsContained)
 {
     std::string dir = scratchDir("extkill");

@@ -117,8 +117,9 @@ TEST(TuneModel, SuiteLoopVerdictsAreCoherent)
             if (candidate.source == "model") {
                 saw_pick = true;
                 EXPECT_EQ(candidate.unroll, nest.modelPick);
-                if (candidate.valid)
+                if (candidate.valid) {
                     EXPECT_DOUBLE_EQ(candidate.vsModelPick, 1.0);
+                }
             }
             if (candidate.pareto) {
                 ++pareto;
