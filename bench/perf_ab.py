@@ -17,10 +17,13 @@ perfbench's result line (the last line of its standard output) is
 read.
 
 For every end-to-end metric in BENCHMARK.json the report gives each
-side's median and quartiles, the change/parent ratio of the medians,
-the pairs the change won (ties count for neither side) and a verdict.
-The metric's "bound" times the parent's median is its allowance. The
-verdict is the first of these that holds:
+side's median and quartiles (to four significant digits), the
+change/parent ratio of the medians, the pairs the change won (ties
+count for neither side), the spread and a verdict. The metric's
+"bound" times the parent's median is its allowance. The spread is the
+wider side's interquartile range divided by the allowance: above 1,
+the metric reads `unresolved` unless every change run beats every
+parent run. The verdict is the first of these that holds:
 
     worse       the change's median is worse than the parent's by more
                 than the allowance;
@@ -44,6 +47,7 @@ script exits non-zero.
 
 import argparse
 import json
+import math
 import os
 import random
 import statistics
@@ -111,6 +115,14 @@ def ratio_interval(p, c, resamples):
     return cuts[0], cuts[-1]
 
 
+def sig4(value):
+    """value to four significant digits, in fixed notation."""
+    if not value or not math.isfinite(value):
+        return f"{value:.3f}"
+    decimals = max(0, 3 - math.floor(math.log10(abs(value))))
+    return f"{value:.{decimals}f}"
+
+
 def report(metrics, seconds, parent, change):
     pairs = len(parent)
     failed_parent = sum(r["failed"] for r in parent)
@@ -119,7 +131,7 @@ def report(metrics, seconds, parent, change):
           f"failed operations: parent {failed_parent}, "
           f"change {failed_change}")
     print(f"{'metric':<18} {'parent':>33} {'change':>33} {'ratio':>6} "
-          f"{'95% interval':>16} {'wins':>6}  verdict")
+          f"{'95% interval':>16} {'wins':>6} {'spread':>6}  verdict")
     # Whole pairs, drawn once, so every metric sees the same resamples.
     rng = random.Random(1)
     resamples = [[rng.randrange(pairs) for _ in range(pairs)]
@@ -134,10 +146,11 @@ def report(metrics, seconds, parent, change):
         wins = sum((b > a) if higher else (b < a) for a, b in zip(p, c))
         gap = (cm - pm) if higher else (pm - cm)
         allowance = metric["bound"] * abs(pm)
+        spread = max(p3 - p1, c3 - c1)
         separated = min(c) > max(p) if higher else max(c) < min(p)
         if -gap > allowance:
             verdict = "worse"
-        elif max(p3 - p1, c3 - c1) > allowance and not separated:
+        elif spread > allowance and not separated:
             verdict = "unresolved"
         elif (pairs >= 10 and wins * 10 >= pairs * 9 and gap > p3 - p1
               and failed_change <= failed_parent):
@@ -146,9 +159,14 @@ def report(metrics, seconds, parent, change):
             verdict = "-"
         ratio = cm / pm if pm else float("nan")
         lo, hi = ratio_interval(p, c, resamples)
-        print(f"{name:<18} {p1:9.3f} / {pm:9.3f} / {p3:9.3f} "
-              f"{c1:9.3f} / {cm:9.3f} / {c3:9.3f} {ratio:6.3f} "
-              f"[{lo:6.3f}, {hi:6.3f}] {wins:>3}/{pairs:<3} {verdict}")
+        quartets = " ".join(
+            " / ".join(f"{sig4(v):>9}" for v in side)
+            for side in ((p1, pm, p3), (c1, cm, c3)))
+        spread_text = f"{spread / allowance:6.2f}" if allowance else \
+            f"{'-':>6}"
+        print(f"{name:<18} {quartets} {ratio:6.3f} "
+              f"[{lo:6.3f}, {hi:6.3f}] {wins:>3}/{pairs:<3} "
+              f"{spread_text}  {verdict}")
 
 
 def main():

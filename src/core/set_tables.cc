@@ -14,50 +14,51 @@ collectMergeEdges(const RatMatrix &subscript,
                   const Subspace &localized, const UnrollSpace &space)
 {
     const std::size_t n = leaders.size();
-    const std::vector<bool> unrollable = space.unrollableFlags();
     std::vector<std::vector<MergeEdge>> edges(n);
 
     auto same_class = [&](std::size_t a, std::size_t b) {
         return partition.empty() || partition[a] == partition[b];
     };
 
+    // Self-absorption: a leader whose copies coincide with its own
+    // earlier copies along some unrolled dim (e.g. B(I) under an
+    // unrolled J loop) stops contributing after the first copy. That
+    // happens when exists x in L : H(e_dim + x) = 0, which does not
+    // depend on the leader.
+    const MergeSolver self_solver(
+        subscript, localized, std::vector<bool>(space.depth(), false));
+    std::vector<IntVector> self_shifts;
+    for (std::size_t dim : space.dims()) {
+        IntVector unit(space.depth());
+        unit[dim] = 1;
+        RatVector image = subscript.apply(unit);
+        IntVector target(subscript.rows());
+        bool integral = true;
+        for (std::size_t r = 0; r < image.size(); ++r) {
+            if (!image[r].isInteger()) {
+                integral = false;
+                break;
+            }
+            target[r] = -image[r].toInteger();
+        }
+        if (integral && self_solver.shift(target).has_value())
+            self_shifts.push_back(std::move(unit));
+    }
+
+    const MergeSolver pair_solver(subscript, localized,
+                                  space.unrollableFlags());
     for (std::size_t k = 0; k < n; ++k) {
         if (!absorbable.empty() && !absorbable[k])
             continue; // e.g. a def-headed RRS: its copies always count
-        // Self-absorption: a leader whose copies coincide with its own
-        // earlier copies along some unrolled dim (e.g. B(I) under an
-        // unrolled J loop) stops contributing after the first copy.
-        for (std::size_t dim : space.dims()) {
-            IntVector unit(space.depth());
-            unit[dim] = 1;
-            // exists x in L : H(e_dim + x) = 0 ?
-            RatVector image = subscript.apply(unit);
-            IntVector target(subscript.rows());
-            bool integral = true;
-            for (std::size_t r = 0; r < image.size(); ++r) {
-                if (!image[r].isInteger()) {
-                    integral = false;
-                    break;
-                }
-                target[r] = -image[r].toInteger();
-            }
-            if (!integral)
-                continue;
-            auto shift = solveMergeShift(subscript, target, localized,
-                                         std::vector<bool>(space.depth(),
-                                                           false));
-            if (shift.has_value())
-                edges[k].push_back({k, unit});
-        }
+        for (const IntVector &unit : self_shifts)
+            edges[k].push_back({k, unit});
 
         // Pairwise absorption: copies of k coincide with copies of j
         // at offset u' - u* where H u* = cj - ck (mod localized).
         for (std::size_t j = 0; j < n; ++j) {
             if (j == k || !same_class(j, k))
                 continue;
-            IntVector delta = leaders[j] - leaders[k];
-            auto shift =
-                solveMergeShift(subscript, delta, localized, unrollable);
+            auto shift = pair_solver.shift(leaders[j] - leaders[k]);
             if (!shift.has_value() || shift->isZero())
                 continue;
             if (shift->allLessEq(space.maxVector()))

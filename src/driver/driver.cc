@@ -1,6 +1,7 @@
 #include "driver/driver.hh"
 
 #include <algorithm>
+#include <memory>
 #include <sstream>
 
 #include "driver/oracle.hh"
@@ -119,14 +120,23 @@ corruptSemantically(std::vector<LoopNest> &nests)
 }
 
 /**
+ * The oracle's interpretation of a nest's committed state: one run per
+ * trial, interpreted the first time a stage needs it (null until
+ * then). A committed stage hands over its candidate's runs, so the
+ * next stage interprets only its own output.
+ */
+using OracleState = std::vector<std::unique_ptr<OracleRun>>;
+
+/**
  * Run one pipeline stage under the containment guard.
  *
  * The body maps the current nest list to the stage's output list (and
  * may tighten the post-stage validation options). On success the
- * output replaces `current`. On any FatalError, PanicError, injected
- * fault, validator rejection, or oracle mismatch, `current` is left
- * exactly as it was, `outcome` (when given) is restored to its
- * pre-stage value, and a StageDiagnostic lands in `sink`.
+ * output replaces `current`, and its oracle runs replace `kept`. On
+ * any FatalError, PanicError, injected fault, validator rejection, or
+ * oracle mismatch, `current` and `kept` are left as they were,
+ * `outcome` (when given) is restored to its pre-stage value, and a
+ * StageDiagnostic lands in `sink`.
  *
  * All state touched here is local to the (nest, stage) pair -- shared
  * inputs are read-only -- so containment is race-free at any thread
@@ -139,8 +149,9 @@ bool
 guardedStage(Stage stage, std::size_t nest_index, const Program &context,
              const SafetyConfig &safety,
              const std::vector<FaultSpec> &faults, bool bit_exact,
-             std::vector<LoopNest> &current, NestOutcome *outcome,
-             std::vector<StageDiagnostic> &sink, Body &&body)
+             std::vector<LoopNest> &current, OracleState &kept,
+             NestOutcome *outcome, std::vector<StageDiagnostic> &sink,
+             Body &&body)
 {
     std::vector<LoopNest> before = current;
     NestOutcome snapshot;
@@ -185,13 +196,26 @@ guardedStage(Stage stage, std::size_t nest_index, const Program &context,
             oracle_config.trials = safety.oracleTrials;
             oracle_config.tolerance = safety.tolerance;
             oracle_config.params = safety.oracleParams;
-            OracleVerdict verdict =
-                verifyEquivalence(context, before, after, bit_exact,
-                                  oracle_config, nest_index);
-            if (!verdict.ok) {
-                throw StageRejection{StageDiagnostic::Kind::Oracle,
-                                     verdict.mismatch};
+            kept.resize(std::max<std::size_t>(safety.oracleTrials, 1));
+            OracleState runs;
+            for (std::size_t t = 0; t < kept.size(); ++t) {
+                if (!kept[t]) {
+                    kept[t] = std::make_unique<OracleRun>(
+                        context, before, oracle_config, nest_index, t);
+                }
+                std::string mismatch = kept[t]->failure();
+                if (mismatch.empty()) {
+                    runs.push_back(std::make_unique<OracleRun>(
+                        context, after, oracle_config, nest_index, t));
+                    mismatch = compareOracleRuns(*kept[t], *runs.back(),
+                                                 bit_exact, oracle_config);
+                }
+                if (!mismatch.empty()) {
+                    throw StageRejection{StageDiagnostic::Kind::Oracle,
+                                         mismatch};
+                }
             }
+            kept = std::move(runs);
         }
 
         current = std::move(after);
@@ -278,9 +302,10 @@ optimizeProgram(const Program &program, const MachineModel &machine,
     if (config.fuse) {
         std::size_t fusion_count = 0;
         std::vector<LoopNest> fused_nests = program.nests();
+        OracleState fused_oracle;
         bool committed = guardedStage(
             Stage::Fuse, 0, program, config.safety, faults,
-            /*bit_exact=*/true, fused_nests, nullptr,
+            /*bit_exact=*/true, fused_nests, fused_oracle, nullptr,
             result.programDiagnostics,
             [&](const std::vector<LoopNest> &, ValidateOptions &) {
                 auto [fused, count] = fuseProgram(program);
@@ -346,13 +371,14 @@ optimizeProgram(const Program &program, const MachineModel &machine,
         }
 
         // The nest's working state: the list of nests it currently
-        // expands to. Each guarded stage either advances it or leaves
-        // it untouched.
+        // expands to, and the oracle's runs of it. Each guarded stage
+        // either advances both or leaves them untouched.
         std::vector<LoopNest> current{original};
+        OracleState oracle_state;
         auto guard = [&](Stage stage, bool bit_exact, auto &&body) {
             return guardedStage(stage, index, staged, config.safety,
-                                faults, bit_exact, current, &outcome,
-                                outcome.contained,
+                                faults, bit_exact, current, oracle_state,
+                                &outcome, outcome.contained,
                                 std::forward<decltype(body)>(body));
         };
 

@@ -1,6 +1,5 @@
 #include "driver/oracle.hh"
 
-#include "ir/interp.hh"
 #include "support/diagnostics.hh"
 #include "support/rng.hh"
 
@@ -23,43 +22,63 @@ withNests(const Program &context, const std::vector<LoopNest> &nests)
 
 } // namespace
 
+OracleRun::OracleRun(const Program &context,
+                     const std::vector<LoopNest> &nests,
+                     const OracleConfig &config, std::uint64_t stream,
+                     std::size_t trial)
+    : program_(withNests(context, nests)), trial_(trial)
+{
+    const std::size_t trials = config.trials > 0 ? config.trials : 1;
+    seed_ = Rng::deriveStream(config.seed, stream * trials + trial);
+    try {
+        interpreter_.emplace(program_, config.params);
+        interpreter_->seedArrays(seed_);
+        interpreter_->run();
+    } catch (const FatalError &err) {
+        // E.g. transformed code touched past the guard halo (a
+        // miscompile), or an array too large to interpret.
+        failure_ = concat("trial ", trial, ": execution failed: ",
+                          err.what());
+    } catch (const PanicError &err) {
+        failure_ = concat("trial ", trial, ": execution failed: ",
+                          err.what());
+    }
+    if (!failure_.empty())
+        interpreter_.reset();
+}
+
+std::string
+compareOracleRuns(const OracleRun &reference, const OracleRun &candidate,
+                  bool bitExact, const OracleConfig &config)
+{
+    if (!reference.failure_.empty())
+        return reference.failure_;
+    if (!candidate.failure_.empty())
+        return candidate.failure_;
+    std::string diff = reference.interpreter_->compareArrays(
+        *candidate.interpreter_, bitExact ? 0.0 : config.tolerance);
+    if (diff.empty())
+        return diff;
+    return concat("trial ", candidate.trial_, " (seed ", candidate.seed_,
+                  "): ", diff);
+}
+
 OracleVerdict
 verifyEquivalence(const Program &context,
                   const std::vector<LoopNest> &before,
                   const std::vector<LoopNest> &after, bool bitExact,
                   const OracleConfig &config, std::uint64_t stream)
 {
-    Program reference = withNests(context, before);
-    Program candidate = withNests(context, after);
     const std::size_t trials = config.trials > 0 ? config.trials : 1;
-    const double tolerance = bitExact ? 0.0 : config.tolerance;
-
     for (std::size_t t = 0; t < trials; ++t) {
-        std::uint64_t seed =
-            Rng::deriveStream(config.seed, stream * trials + t);
-        try {
-            Interpreter ref(reference, config.params);
-            Interpreter cand(candidate, config.params);
-            ref.seedArrays(seed);
-            cand.seedArrays(seed);
-            ref.run();
-            cand.run();
-            std::string diff = ref.compareArrays(cand, tolerance);
-            if (!diff.empty()) {
-                return {false, concat("trial ", t, " (seed ", seed,
-                                      "): ", diff)};
-            }
-        } catch (const FatalError &err) {
-            // The transformed code crashed the reference interpreter
-            // (e.g. an access past the guard halo): a miscompile.
-            return {false,
-                    concat("trial ", t, ": execution failed: ",
-                           err.what())};
-        } catch (const PanicError &err) {
-            return {false,
-                    concat("trial ", t, ": execution failed: ",
-                           err.what())};
-        }
+        OracleRun reference(context, before, config, stream, t);
+        if (!reference.failure().empty())
+            return {false, reference.failure()};
+        OracleRun candidate(context, after, config, stream, t);
+        std::string mismatch =
+            compareOracleRuns(reference, candidate, bitExact, config);
+        if (!mismatch.empty())
+            return {false, mismatch};
     }
     return {};
 }

@@ -22,9 +22,11 @@
 #define UJAM_DRIVER_ORACLE_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "ir/interp.hh"
 #include "ir/loop_nest.hh"
 
 namespace ujam
@@ -54,15 +56,60 @@ struct OracleVerdict
 };
 
 /**
+ * One oracle trial of one nest list: the nests interpreted on that
+ * trial's seeded inputs, or the message of the failure that stopped
+ * them. Trial t of point `stream` seeds its inputs with
+ * Rng::deriveStream(config.seed, stream * trials + t), so a run
+ * depends only on (nests, seed, stream, t) -- never on which thread
+ * or which stage interprets it. That is what lets the pipeline keep a
+ * committed stage's runs as the next stage's reference.
+ */
+class OracleRun
+{
+  public:
+    /**
+     * Interpret nests against context's declarations and parameter
+     * defaults (context's own nests are ignored).
+     */
+    OracleRun(const Program &context, const std::vector<LoopNest> &nests,
+              const OracleConfig &config, std::uint64_t stream,
+              std::size_t trial);
+
+    OracleRun(const OracleRun &) = delete;
+    OracleRun &operator=(const OracleRun &) = delete;
+
+    /** @return "trial t: execution failed: ...", or empty if it ran. */
+    const std::string &failure() const { return failure_; }
+
+  private:
+    friend std::string compareOracleRuns(const OracleRun &, const OracleRun &,
+                                         bool, const OracleConfig &);
+
+    Program program_; //!< the interpreter refers to it
+    std::optional<Interpreter> interpreter_;
+    std::size_t trial_;
+    std::uint64_t seed_;
+    std::string failure_;
+};
+
+/**
+ * Compare a candidate run with the reference run of the same trial.
+ *
+ * @param bitExact True: compare exactly; false: config.tolerance.
+ * @return Empty when they agree; else the reference's failure, the
+ *         candidate's failure, or the first difference.
+ */
+std::string compareOracleRuns(const OracleRun &reference,
+                              const OracleRun &candidate, bool bitExact,
+                              const OracleConfig &config);
+
+/**
  * Differentially verify that two nest lists compute the same arrays.
  *
  * Both lists are executed against the declarations and parameter
- * defaults of context (whose own nests are ignored). Execution and
- * comparison are repeated for config.trials independently seeded
- * inputs; input t of point `stream` uses
- * Rng::deriveStream(config.seed, stream * trials + t), so verdicts
- * depend only on (seed, stream, t) -- never on which thread runs the
- * check.
+ * defaults of context (whose own nests are ignored): for each of
+ * config.trials trials, an OracleRun of before, then (if it ran) one
+ * of after, then compareOracleRuns, stopping at the first difference.
  *
  * @param context  Supplies array declarations and parameter defaults.
  * @param before   The pre-stage nests.

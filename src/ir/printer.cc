@@ -1,5 +1,6 @@
 #include "ir/printer.hh"
 
+#include <charconv>
 #include <sstream>
 
 #include "support/diagnostics.hh"
@@ -20,7 +21,14 @@ renderExprTo(std::ostringstream &os, const Expr &expr,
         if (v == static_cast<std::int64_t>(v)) {
             os << static_cast<std::int64_t>(v) << ".0";
         } else {
-            os << v;
+            // The shortest fixed-notation text that reads back as v
+            // (the lexer takes no exponents); a non-integral double
+            // needs at most a few hundred digits.
+            char text[512];
+            auto [end, ec] = std::to_chars(text, text + sizeof text, v,
+                                           std::chars_format::fixed);
+            UJAM_ASSERT(ec == std::errc(), "constant too long to print");
+            os.write(text, end - text);
         }
         return;
       }

@@ -1,5 +1,6 @@
 #include "linalg/rat_matrix.hh"
 
+#include <algorithm>
 #include <sstream>
 
 #include "support/diagnostics.hh"
@@ -119,8 +120,10 @@ RatMatrix::apply(const RatVector &v) const
     RatVector result(rows_);
     for (std::size_t r = 0; r < rows_; ++r) {
         Rational sum;
-        for (std::size_t c = 0; c < cols_; ++c)
-            sum += at(r, c) * v[c];
+        for (std::size_t c = 0; c < cols_; ++c) {
+            if (!v[c].isZero() && !at(r, c).isZero())
+                sum += at(r, c) * v[c];
+        }
         result[r] = sum;
     }
     return result;
@@ -171,11 +174,12 @@ RatMatrix::appendRow(const RatVector &row)
 }
 
 std::vector<std::size_t>
-RatMatrix::reduceToRref()
+RatMatrix::reduceToRref(std::size_t pivotColumns)
 {
     std::vector<std::size_t> pivots;
     std::size_t pivot_row = 0;
-    for (std::size_t col = 0; col < cols_ && pivot_row < rows_; ++col) {
+    const std::size_t last = std::min(pivotColumns, cols_);
+    for (std::size_t col = 0; col < last && pivot_row < rows_; ++col) {
         // Find a row with a nonzero entry in this column.
         std::size_t found = rows_;
         for (std::size_t r = pivot_row; r < rows_; ++r) {
@@ -191,14 +195,18 @@ RatMatrix::reduceToRref()
                 std::swap(at(found, c), at(pivot_row, c));
         }
         Rational inv = Rational(1) / at(pivot_row, col);
-        for (std::size_t c = 0; c < cols_; ++c)
-            at(pivot_row, c) *= inv;
+        for (std::size_t c = 0; c < cols_; ++c) {
+            if (!at(pivot_row, c).isZero())
+                at(pivot_row, c) *= inv;
+        }
         for (std::size_t r = 0; r < rows_; ++r) {
             if (r == pivot_row || at(r, col).isZero())
                 continue;
             Rational factor = at(r, col);
-            for (std::size_t c = 0; c < cols_; ++c)
-                at(r, c) -= factor * at(pivot_row, c);
+            for (std::size_t c = 0; c < cols_; ++c) {
+                if (!at(pivot_row, c).isZero())
+                    at(r, c) -= factor * at(pivot_row, c);
+            }
         }
         pivots.push_back(col);
         ++pivot_row;

@@ -85,9 +85,15 @@ class RatMatrix
 
     /**
      * Reduce in place to reduced row echelon form.
+     *
+     * @param pivotColumns Pivots are sought only in the first
+     *        pivotColumns columns; the row operations still apply to
+     *        every column, so reducing [A | I] this way leaves [R | E]
+     *        with E A = R. Default: every column.
      * @return The pivot column index of each nonzero row, in order.
      */
-    std::vector<std::size_t> reduceToRref();
+    std::vector<std::size_t> reduceToRref(
+        std::size_t pivotColumns = static_cast<std::size_t>(-1));
 
     /** @return The rank (via a copy; *this is unchanged). */
     std::size_t rank() const;

@@ -1,7 +1,7 @@
 #include "reuse/group_reuse.hh"
 
 #include <algorithm>
-#include <numeric>
+#include <map>
 
 #include "support/diagnostics.hh"
 
@@ -11,67 +11,38 @@ namespace ujam
 namespace
 {
 
-/** exists x in localized : M x = delta ? */
-bool
-solvableInSpace(const RatMatrix &matrix, const RatVector &delta,
-                const Subspace &localized)
-{
-    const RatMatrix &basis = localized.basis();
-    // Build (dims x L.dim) system M * basis^T.
-    RatMatrix system(matrix.rows(), basis.rows());
-    for (std::size_t r = 0; r < matrix.rows(); ++r) {
-        for (std::size_t j = 0; j < basis.rows(); ++j) {
-            Rational coeff;
-            for (std::size_t k = 0; k < matrix.cols(); ++k)
-                coeff += matrix.at(r, k) * basis.at(j, k);
-            system.at(r, j) = coeff;
-        }
-    }
-    return system.solve(delta).has_value();
-}
-
+/**
+ * Members i and j share a set when exists x in localized with
+ * M x = c_j - c_i, i.e. when c_j - c_i lies in the column space of
+ * A = M L^T. The rows N of A's left null space (the kernel of
+ * A^T = L M^T) vanish exactly on that column space, so two members
+ * share a set exactly when N c_i = N c_j: one elimination per
+ * partition, then a group-by on the key N c (first offset component
+ * zeroed for spatial sets).
+ */
 std::vector<ReuseGroup>
 partitionByRelation(const UniformlyGeneratedSet &ugs,
                     const RatMatrix &matrix, bool spatial,
                     const Subspace &localized)
 {
-    const std::size_t n = ugs.members.size();
-    std::vector<std::size_t> parent(n);
-    std::iota(parent.begin(), parent.end(), 0);
+    const RatMatrix left_null =
+        localized.basis().multiply(matrix.transpose()).kernelBasis();
 
-    auto find = [&](std::size_t x) {
-        while (parent[x] != x) {
-            parent[x] = parent[parent[x]];
-            x = parent[x];
-        }
-        return x;
-    };
-
-    for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = i + 1; j < n; ++j) {
-            if (find(i) == find(j))
-                continue;
-            IntVector delta =
-                ugs.members[j].ref.offset() - ugs.members[i].ref.offset();
-            RatVector rhs = toRatVector(delta);
-            if (spatial && !rhs.empty())
-                rhs[0] = Rational(0);
-            if (solvableInSpace(matrix, rhs, localized))
-                parent[find(i)] = find(j);
-        }
-    }
-
-    // Collect groups, order members by lex offset, leader first.
+    // Groups in order of their first member; members in index order.
     std::vector<ReuseGroup> groups;
-    std::vector<int> group_of(n, -1);
-    for (std::size_t i = 0; i < n; ++i) {
-        std::size_t root = find(i);
-        if (group_of[root] < 0) {
-            group_of[root] = static_cast<int>(groups.size());
+    std::map<RatVector, std::size_t> group_of;
+    for (std::size_t i = 0; i < ugs.members.size(); ++i) {
+        IntVector offset = ugs.members[i].ref.offset();
+        if (spatial && !offset.empty())
+            offset[0] = 0;
+        auto [it, fresh] =
+            group_of.try_emplace(left_null.apply(offset), groups.size());
+        if (fresh)
             groups.emplace_back();
-        }
-        groups[group_of[root]].members.push_back(i);
+        groups[it->second].members.push_back(i);
     }
+
+    // Order members by lex offset, leader first.
     for (ReuseGroup &group : groups) {
         std::stable_sort(group.members.begin(), group.members.end(),
                          [&](std::size_t a, std::size_t b) {

@@ -136,12 +136,15 @@ canonicalRequestText(const std::string &op, const Program &program,
                      const TuneConfig &tune)
 {
     std::ostringstream os;
-    // v4: the autotuner's search/budget fields and the optimizer's
-    // forced unroll vector joined the text (v3 added the
-    // symbolic-analysis fields). The header is part of the hashed
-    // bytes, so a version bump invalidates every persisted v1-v3
+    // v5: the program text keeps every digit of a non-integral
+    // constant (v4 printed six significant digits, so programs that
+    // differed past them shared a key and one could be answered with
+    // the other's result). v4 added the autotuner's search/budget
+    // fields and the optimizer's forced unroll vector, v3 the
+    // symbolic-analysis fields. The header is part of the hashed
+    // bytes, so a version bump invalidates every persisted v1-v4
     // entry wholesale.
-    os << "ujam-serve-cache-v4\n";
+    os << "ujam-serve-cache-v5\n";
     os << "op = " << op << "\n";
     renderMachine(os, machine);
     renderConfig(os, config);

@@ -60,10 +60,11 @@ namespace ujam
  * PipelineConfig, CodegenOptions and TuneConfig field by name, and
  * the canonical program rendering. Exposed separately from the hash
  * so tests can assert *why* two keys differ. The version header is
- * bumped whenever a field joins the text (v2: the codegen emission
- * fields; v4: the autotuner's search/budget fields and the
- * optimizer's forced unroll vector), so persisted entries from an
- * older schema can never be returned for a newer request shape.
+ * bumped whenever a field joins the text or its rendering changes
+ * (v2: the codegen emission fields; v4: the autotuner's search/budget
+ * fields and the optimizer's forced unroll vector; v5: every digit of
+ * non-integral constants), so persisted entries from an older schema
+ * can never be returned for a newer request shape.
  */
 std::string canonicalRequestText(const std::string &op,
                                  const Program &program,

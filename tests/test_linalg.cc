@@ -198,7 +198,7 @@ TEST(MergeSolver, PaperFigure1)
     Subspace localized = Subspace::coordinate(2, {1});
     std::vector<bool> unrollable{true, false};
 
-    auto shift = solveMergeShift(h, delta, localized, unrollable);
+    auto shift = MergeSolver(h, localized, unrollable).shift(delta);
     ASSERT_TRUE(shift.has_value());
     EXPECT_EQ(*shift, (IntVector{2, 0}));
 }
@@ -211,7 +211,7 @@ TEST(MergeSolver, InnermostDifferenceAbsorbedByLocalizedSpace)
     Subspace localized = Subspace::coordinate(2, {1});
     std::vector<bool> unrollable{true, false};
 
-    auto shift = solveMergeShift(h, delta, localized, unrollable);
+    auto shift = MergeSolver(h, localized, unrollable).shift(delta);
     ASSERT_TRUE(shift.has_value());
     EXPECT_EQ(*shift, (IntVector{1, 0}));
 }
@@ -224,7 +224,7 @@ TEST(MergeSolver, NegativeShiftMeansNoMerge)
     std::vector<bool> unrollable{true, false};
 
     EXPECT_FALSE(
-        solveMergeShift(h, delta, localized, unrollable).has_value());
+        MergeSolver(h, localized, unrollable).shift(delta).has_value());
 }
 
 TEST(MergeSolver, FractionalShiftMeansNoMerge)
@@ -236,7 +236,7 @@ TEST(MergeSolver, FractionalShiftMeansNoMerge)
     std::vector<bool> unrollable{true, false};
 
     EXPECT_FALSE(
-        solveMergeShift(h, delta, localized, unrollable).has_value());
+        MergeSolver(h, localized, unrollable).shift(delta).has_value());
 }
 
 TEST(MergeSolver, ScaledCoefficient)
@@ -246,7 +246,7 @@ TEST(MergeSolver, ScaledCoefficient)
     Subspace localized = Subspace::coordinate(2, {1});
     std::vector<bool> unrollable{true, false};
 
-    auto shift = solveMergeShift(h, delta, localized, unrollable);
+    auto shift = MergeSolver(h, localized, unrollable).shift(delta);
     ASSERT_TRUE(shift.has_value());
     EXPECT_EQ(*shift, (IntVector{3, 0}));
 }
@@ -260,7 +260,7 @@ TEST(MergeSolver, InconsistentSystemMeansNoMerge)
     std::vector<bool> unrollable{true, false};
 
     EXPECT_FALSE(
-        solveMergeShift(h, delta, localized, unrollable).has_value());
+        MergeSolver(h, localized, unrollable).shift(delta).has_value());
 }
 
 TEST(MergeSolver, LoopInvariantColumnLeavesShiftFree)
@@ -272,7 +272,7 @@ TEST(MergeSolver, LoopInvariantColumnLeavesShiftFree)
     Subspace localized = Subspace::zero(2);
     std::vector<bool> unrollable{true, false};
 
-    auto shift = solveMergeShift(h, delta, localized, unrollable);
+    auto shift = MergeSolver(h, localized, unrollable).shift(delta);
     ASSERT_TRUE(shift.has_value());
     EXPECT_EQ(*shift, (IntVector{0, 0}));
 }
@@ -286,7 +286,7 @@ TEST(MergeSolver, TwoUnrolledDims)
     Subspace localized = Subspace::coordinate(3, {2});
     std::vector<bool> unrollable{true, true, false};
 
-    auto shift = solveMergeShift(h, delta, localized, unrollable);
+    auto shift = MergeSolver(h, localized, unrollable).shift(delta);
     ASSERT_TRUE(shift.has_value());
     EXPECT_EQ(*shift, (IntVector{1, 2, 0}));
 }
@@ -300,7 +300,7 @@ TEST(MergeSolver, MixedSignAcrossUnrolledDims)
     std::vector<bool> unrollable{true, true, false};
 
     EXPECT_FALSE(
-        solveMergeShift(h, delta, localized, unrollable).has_value());
+        MergeSolver(h, localized, unrollable).shift(delta).has_value());
 }
 
 } // namespace

@@ -22,7 +22,9 @@
 #include <atomic>
 #include <cstdlib>
 #include <functional>
+#include <numeric>
 #include <optional>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -34,6 +36,7 @@
 #include "linalg/merge_solver.hh"
 #include "parser/parser.hh"
 #include "scenarios/scenario.hh"
+#include "scenarios/sweep.hh"
 #include "support/rng.hh"
 #include "support/thread_pool.hh"
 #include "transform/unroll_and_jam.hh"
@@ -373,6 +376,130 @@ TEST(TableKernels, PrefixSumMatchesReference)
 }
 
 /**
+ * The merge solver before the system was factored once per (H, L,
+ * unrollable dims): a fresh elimination of [H L^T | H_u | delta] for
+ * every pair. The oracle for MergeSolver.
+ */
+std::optional<IntVector>
+referenceMergeShift(const RatMatrix &subscript, const IntVector &delta,
+                    const Subspace &localized,
+                    const std::vector<bool> &unrollable)
+{
+    const std::size_t depth = subscript.cols();
+    const std::size_t dims = subscript.rows();
+    std::vector<std::size_t> unroll_cols;
+    for (std::size_t k = 0; k < depth; ++k) {
+        if (unrollable[k])
+            unroll_cols.push_back(k);
+    }
+
+    const RatMatrix &lbasis = localized.basis();
+    const std::size_t ny = lbasis.rows();
+    const std::size_t nu = unroll_cols.size();
+
+    RatMatrix system(dims, ny + nu + 1);
+    for (std::size_t r = 0; r < dims; ++r) {
+        for (std::size_t j = 0; j < ny; ++j) {
+            Rational coeff;
+            for (std::size_t k = 0; k < depth; ++k)
+                coeff += subscript.at(r, k) * lbasis.at(j, k);
+            system.at(r, j) = coeff;
+        }
+        for (std::size_t j = 0; j < nu; ++j)
+            system.at(r, ny + j) = subscript.at(r, unroll_cols[j]);
+        system.at(r, ny + nu) = Rational(delta[r]);
+    }
+
+    std::vector<std::size_t> pivots = system.reduceToRref();
+    if (!pivots.empty() && pivots.back() == ny + nu)
+        return std::nullopt;
+
+    RatVector shift(nu);
+    for (std::size_t r = 0; r < pivots.size(); ++r) {
+        std::size_t col = pivots[r];
+        if (col < ny)
+            continue;
+        shift[col - ny] = system.at(r, ny + nu);
+    }
+    if (!allIntegral(shift))
+        return std::nullopt;
+
+    IntVector result(depth);
+    for (std::size_t j = 0; j < nu; ++j) {
+        std::int64_t value = shift[j].toInteger();
+        if (value < 0)
+            return std::nullopt;
+        result[unroll_cols[j]] = value;
+    }
+    return result;
+}
+
+/**
+ * The GTS/GSS partition before it became a group-by on a key: union-
+ * find over member pairs, joining i and j when a fresh RatMatrix::solve
+ * finds x in L with M x = c_j - c_i.
+ */
+std::vector<ReuseGroup>
+referencePartition(const UniformlyGeneratedSet &ugs,
+                   const RatMatrix &matrix, bool spatial,
+                   const Subspace &localized)
+{
+    const RatMatrix &basis = localized.basis();
+    RatMatrix system(matrix.rows(), basis.rows());
+    for (std::size_t r = 0; r < matrix.rows(); ++r) {
+        for (std::size_t j = 0; j < basis.rows(); ++j) {
+            Rational coeff;
+            for (std::size_t k = 0; k < matrix.cols(); ++k)
+                coeff += matrix.at(r, k) * basis.at(j, k);
+            system.at(r, j) = coeff;
+        }
+    }
+
+    const std::size_t n = ugs.members.size();
+    std::vector<std::size_t> parent(n);
+    std::iota(parent.begin(), parent.end(), 0);
+    auto find = [&](std::size_t x) {
+        while (parent[x] != x) {
+            parent[x] = parent[parent[x]];
+            x = parent[x];
+        }
+        return x;
+    };
+    for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = i + 1; j < n; ++j) {
+            if (find(i) == find(j))
+                continue;
+            RatVector rhs = toRatVector(ugs.members[j].ref.offset() -
+                                        ugs.members[i].ref.offset());
+            if (spatial && !rhs.empty())
+                rhs[0] = Rational(0);
+            if (system.solve(rhs).has_value())
+                parent[find(i)] = find(j);
+        }
+    }
+
+    std::vector<ReuseGroup> groups;
+    std::vector<int> group_of(n, -1);
+    for (std::size_t i = 0; i < n; ++i) {
+        std::size_t root = find(i);
+        if (group_of[root] < 0) {
+            group_of[root] = static_cast<int>(groups.size());
+            groups.emplace_back();
+        }
+        groups[group_of[root]].members.push_back(i);
+    }
+    for (ReuseGroup &group : groups) {
+        std::stable_sort(group.members.begin(), group.members.end(),
+                         [&](std::size_t a, std::size_t b) {
+                             return ugs.members[a].ref.offset().lexLess(
+                                 ugs.members[b].ref.offset());
+                         });
+        group.leader = group.members.front();
+    }
+    return groups;
+}
+
+/**
  * The pre-rewrite computeRegisterTable (the seed implementation,
  * verbatim modulo formatting): per point, re-scan all npoints to find
  * the copy sub-box, vectorAt/indexOf per element, and rebuild
@@ -424,7 +551,7 @@ referenceRegisterTable(const UniformlyGeneratedSet &ugs,
                 continue;
             IntVector delta = leaders[j] - leaders[k];
             auto shift =
-                solveMergeShift(subscript, delta, inner, unrollable);
+                referenceMergeShift(subscript, delta, inner, unrollable);
             if (!shift.has_value() || shift->isZero())
                 continue;
             if (shift->allLessEq(space.maxVector()))
@@ -445,7 +572,7 @@ referenceRegisterTable(const UniformlyGeneratedSet &ugs,
             }
             if (!integral)
                 continue;
-            auto shift = solveMergeShift(
+            auto shift = referenceMergeShift(
                 subscript, target, inner,
                 std::vector<bool>(space.depth(), false));
             if (shift.has_value())
@@ -627,6 +754,264 @@ TEST(TableKernels, RegisterTableMatchesPreRewriteOnSuite)
     // The inputs must actually exercise the kernel, 3-dim rows too.
     EXPECT_GE(compared_tables, 200u);
     EXPECT_GE(three_dim_tables, 12u);
+}
+
+/** What FactoredSolversMatchPerPairElimination compared. */
+struct FactoredCounts
+{
+    std::size_t partitions = 0;
+    std::size_t pairShifts = 0;
+    std::size_t selfShifts = 0;
+    std::size_t merges = 0; //!< shifts that found a merge
+};
+
+/**
+ * Check the factored kernels against the per-pair elimination on one
+ * nest. For every UGS and every localized space rankUnrollCandidates
+ * prices (the innermost loop, and it widened by each outer loop):
+ * the GTS and GSS partitions must have the same groups, member order
+ * and leaders; and with H (or the spatial H and masked offsets) the
+ * shift between every ordered pair of the partition's leaders and the
+ * self-merge along every outer loop must match, with all outer loops
+ * unrollable and with each outer loop alone.
+ */
+void
+expectFactoredMatchesPerPair(const LoopNest &nest, const std::string &label,
+                             FactoredCounts &counts)
+{
+    const std::size_t depth = nest.depth();
+    if (depth < 2)
+        return;
+    std::vector<Subspace> spaces = {
+        Subspace::coordinate(depth, {depth - 1})};
+    std::vector<std::vector<bool>> flag_sets(1,
+                                             std::vector<bool>(depth, true));
+    flag_sets[0][depth - 1] = false;
+    for (std::size_t k = 0; k + 1 < depth; ++k) {
+        spaces.push_back(Subspace::coordinate(depth, {k, depth - 1}));
+        if (depth > 2) {
+            flag_sets.emplace_back(depth, false);
+            flag_sets.back()[k] = true;
+        }
+    }
+    const std::vector<bool> none(depth, false);
+
+    for (const UniformlyGeneratedSet &ugs : partitionUGS(nest.accesses())) {
+        const RatMatrix spatial =
+            ugs.members.front().ref.spatialSubscriptMatrix();
+        for (const Subspace &localized : spaces) {
+            for (bool is_spatial : {false, true}) {
+                SCOPED_TRACE(label + " array " + ugs.array + " L " +
+                             localized.toString() +
+                             (is_spatial ? " GSS" : " GTS"));
+                const RatMatrix &matrix =
+                    is_spatial ? spatial : ugs.subscript;
+                std::vector<ReuseGroup> fast =
+                    is_spatial ? groupSpatialSets(ugs, localized)
+                               : groupTemporalSets(ugs, localized);
+                std::vector<ReuseGroup> slow =
+                    referencePartition(ugs, matrix, is_spatial, localized);
+                ASSERT_EQ(fast.size(), slow.size());
+                for (std::size_t g = 0; g < fast.size(); ++g) {
+                    EXPECT_EQ(fast[g].members, slow[g].members) << g;
+                    EXPECT_EQ(fast[g].leader, slow[g].leader) << g;
+                }
+                ++counts.partitions;
+
+                std::vector<IntVector> leaders;
+                for (const ReuseGroup &group : slow) {
+                    IntVector offset = ugs.members[group.leader].ref.offset();
+                    if (is_spatial)
+                        offset[0] = 0;
+                    leaders.push_back(offset);
+                }
+                for (const std::vector<bool> &flags : flag_sets) {
+                    MergeSolver solver(matrix, localized, flags);
+                    for (const IntVector &a : leaders) {
+                        for (const IntVector &b : leaders) {
+                            if (a == b)
+                                continue;
+                            IntVector delta = b - a;
+                            std::optional<IntVector> got =
+                                solver.shift(delta);
+                            EXPECT_EQ(got, referenceMergeShift(
+                                               matrix, delta, localized,
+                                               flags))
+                                << delta;
+                            ++counts.pairShifts;
+                            counts.merges += got.has_value();
+                        }
+                    }
+                }
+                MergeSolver self_solver(matrix, localized, none);
+                for (std::size_t dim = 0; dim + 1 < depth; ++dim) {
+                    IntVector unit(depth);
+                    unit[dim] = 1;
+                    IntVector target(matrix.rows());
+                    for (std::size_t r = 0; r < matrix.rows(); ++r)
+                        target[r] = -matrix.apply(unit)[r].toInteger();
+                    std::optional<IntVector> got = self_solver.shift(target);
+                    EXPECT_EQ(got, referenceMergeShift(matrix, target,
+                                                       localized, none))
+                        << "self " << dim;
+                    ++counts.selfShifts;
+                    counts.merges += got.has_value();
+                }
+            }
+        }
+    }
+}
+
+/**
+ * The factored oracle's inputs: every suite loop, and every scenario
+ * family of the default sweep manifest over its grid and seeds.
+ */
+std::vector<Program>
+factoredSolverPrograms()
+{
+    std::vector<Program> programs;
+    for (const SuiteLoop &loop : testSuite())
+        programs.push_back(loadSuiteProgram(loop));
+    const SweepManifest manifest = defaultSweepManifest();
+    for (const SweepFamily &entry : manifest.families) {
+        const IScenarioGenerator *generator =
+            findScenarioFamily(entry.family);
+        if (!generator)
+            throw std::runtime_error("unknown family " + entry.family);
+        std::vector<std::size_t> index(entry.grid.size(), 0);
+        for (bool done = false; !done;) {
+            ScenarioSpec spec;
+            spec.family = entry.family;
+            for (const ScenarioParam &param : generator->params())
+                spec.params[param.name] = param.def;
+            for (std::size_t g = 0; g < entry.grid.size(); ++g)
+                spec.params[entry.grid[g].first] =
+                    entry.grid[g].second[index[g]];
+            for (std::uint64_t seed : manifest.seeds) {
+                spec.seed = seed;
+                GeneratedScenario scenario = generateScenario(spec);
+                programs.push_back(
+                    parseProgram(scenario.source, scenario.name));
+            }
+            done = true;
+            for (std::size_t g = entry.grid.size(); g-- > 0;) {
+                if (++index[g] < entry.grid[g].second.size()) {
+                    done = false;
+                    break;
+                }
+                index[g] = 0;
+            }
+        }
+    }
+    return programs;
+}
+
+TEST(TableKernels, FactoredSolversMatchPerPairElimination)
+{
+    // Each nest as written and unroll-and-jammed (main nest and
+    // fringes) at (1,1), (2,3) and (3,3) on its two outermost loops,
+    // clamped to the safety bounds: unrolled bodies are where one set
+    // has copies x refs members.
+    const MachineModel machine = MachineModel::decAlpha21064();
+    const std::vector<std::vector<std::int64_t>> vectors = {
+        {1, 1}, {2, 3}, {3, 3}};
+    FactoredCounts counts;
+    std::size_t programs = 0, unrolled = 0;
+    for (const Program &program : factoredSolverPrograms()) {
+        ++programs;
+        OptimizerConfig config;
+        config.params = program.paramDefaults();
+        for (const LoopNest &nest : program.nests()) {
+            const std::string label =
+                program.sourceName() + " " + nest.name();
+            expectFactoredMatchesPerPair(nest, label, counts);
+            if (nest.depth() < 2)
+                continue;
+            const IntVector bounds =
+                unrollProblem(nest, machine, config).safetyBounds;
+            for (const std::vector<std::int64_t> &vec : vectors) {
+                IntVector u(nest.depth());
+                for (std::size_t k = 0; k < 2 && k + 1 < nest.depth(); ++k)
+                    u[k] = std::min(vec[k], bounds[k]);
+                if (u.isZero())
+                    continue;
+                for (const LoopNest &piece : unrollAndJamNest(nest, u)) {
+                    expectFactoredMatchesPerPair(
+                        piece, label + " at " + u.toString(), counts);
+                    ++unrolled;
+                }
+            }
+        }
+    }
+    // The inputs must reach the kernels: merges found and refused.
+    EXPECT_GE(programs, 70u);
+    EXPECT_GE(unrolled, 150u);
+    EXPECT_GT(counts.merges, 1000u);
+    EXPECT_GT(counts.pairShifts, counts.merges);
+}
+
+TEST(TableKernels, FactoredSolversMatchPerPairOnRandomMiv)
+{
+    // Random MIV subscripts in a 3-deep nest: scaled coefficients,
+    // zero columns (a loop the array ignores) and rank-deficient H
+    // (the second row a multiple of the first).
+    const char *ivs[] = {"i", "j", "k"};
+    auto term = [](std::ostringstream &os, std::int64_t coeff,
+                   const char *iv, bool first) {
+        if (coeff == 0)
+            return false;
+        if (coeff < 0)
+            os << (first ? "-" : " - ");
+        else if (!first)
+            os << " + ";
+        if (std::llabs(coeff) != 1)
+            os << std::llabs(coeff) << "*";
+        os << iv;
+        return true;
+    };
+    FactoredCounts counts;
+    for (int trial = 0; trial < 40; ++trial) {
+        Rng rng(9100 + trial);
+        std::int64_t h[2][3];
+        for (auto &row : h)
+            for (std::int64_t &coeff : row)
+                coeff = rng.range(-2, 2);
+        const std::int64_t zero_col = rng.range(-1, 2); // -1: none
+        if (zero_col >= 0)
+            h[0][zero_col] = h[1][zero_col] = 0;
+        if (rng.range(0, 2) == 0) {
+            const std::int64_t scale = rng.range(-2, 2);
+            for (int c = 0; c < 3; ++c)
+                h[1][c] = scale * h[0][c];
+        }
+        for (auto &row : h) {
+            if (row[0] == 0 && row[1] == 0 && row[2] == 0)
+                row[2] = 1; // every row indexes some loop
+        }
+
+        std::ostringstream src;
+        src << "do i = 1, 12\n  do j = 1, 12\n    do k = 1, 12\n"
+            << "      x = ";
+        const int refs = static_cast<int>(rng.range(3, 7));
+        for (int r = 0; r < refs; ++r) {
+            src << (r ? " + " : "") << "a(";
+            for (int row = 0; row < 2; ++row) {
+                bool first = true;
+                for (int c = 0; c < 3; ++c)
+                    first &= !term(src, h[row][c], ivs[c], first);
+                std::int64_t offset = rng.range(-3, 3);
+                if (offset != 0)
+                    src << (offset < 0 ? " - " : " + ")
+                        << std::llabs(offset);
+                src << (row == 0 ? ", " : ")");
+            }
+        }
+        src << "\n    end do\n  end do\nend do\n";
+        LoopNest nest = parseSingleNest(src.str());
+        expectFactoredMatchesPerPair(nest, src.str(), counts);
+    }
+    EXPECT_GE(counts.partitions, 40u * 2 * 3);
+    EXPECT_GT(counts.merges, 100u);
 }
 
 TEST(TableKernels, NestTablesUnchangedBySpaceShape)

@@ -345,6 +345,31 @@ end do
     EXPECT_EQ(reparsed.nests()[0].loop(0).step, 2);
 }
 
+TEST(Parser, NonIntegralConstantsRoundTripEveryDigit)
+{
+    // Printing keeps every digit a constant needs to read back as the
+    // same double, in fixed notation (the lexer takes no exponents):
+    // six significant digits turned 0.1234567 into 0.123457.
+    for (const char *constant :
+         {"0.1234567", "1234567.5", "0.0000001", "2.84"}) {
+        SCOPED_TRACE(constant);
+        Program program = parseProgram(
+            concat("real a(4)\nreal b(4)\ndo i = 1, 4\n  a(i) = b(i) * ",
+                   constant, "\nend do\n"));
+        const Stmt &stmt = program.nests()[0].body()[0];
+        std::string printed = renderProgram(program);
+        EXPECT_NE(printed.find(concat("* ", constant, ")")),
+                  std::string::npos)
+            << printed;
+
+        Program reparsed = parseProgram(printed);
+        const Stmt &again = reparsed.nests()[0].body()[0];
+        EXPECT_EQ(again.rhs()->rhs()->constantValue(),
+                  stmt.rhs()->rhs()->constantValue());
+        EXPECT_EQ(renderProgram(reparsed), printed);
+    }
+}
+
 // --- hardening regressions: reduced inputs from the fuzz sweep ------
 //
 // Each case below previously crashed (stack overflow), hung (infinite

@@ -343,6 +343,21 @@ TEST(Containment, EveryStageFaultedRollsBackToTheInput)
     EXPECT_EQ(result.containedFaults(), 19u);
 }
 
+/** Every stage that has a disable flag, and how to disable it. */
+struct DisableCase
+{
+    const char *stage;
+    void (*disable)(PipelineConfig &);
+};
+const DisableCase kDisableCases[] = {
+    {"fuse", [](PipelineConfig &c) { c.fuse = false; }},
+    {"normalize", [](PipelineConfig &c) { c.normalize = false; }},
+    {"distribute", [](PipelineConfig &c) { c.distribute = false; }},
+    {"interchange", [](PipelineConfig &c) { c.interchange = false; }},
+    {"scalar-replace", [](PipelineConfig &c) { c.scalarReplace = false; }},
+    {"prefetch", [](PipelineConfig &c) { c.prefetch = false; }},
+};
+
 TEST(Containment, FaultedStageEqualsStageDisabled)
 {
     // A throw fires at stage entry, so a contained stage must leave
@@ -350,22 +365,7 @@ TEST(Containment, FaultedStageEqualsStageDisabled)
     Program program = triProgram();
     const MachineModel machine = MachineModel::hpPa7100();
 
-    struct Case
-    {
-        const char *stage;
-        void (*disable)(PipelineConfig &);
-    };
-    const Case cases[] = {
-        {"fuse", [](PipelineConfig &c) { c.fuse = false; }},
-        {"normalize", [](PipelineConfig &c) { c.normalize = false; }},
-        {"distribute", [](PipelineConfig &c) { c.distribute = false; }},
-        {"interchange",
-         [](PipelineConfig &c) { c.interchange = false; }},
-        {"scalar-replace",
-         [](PipelineConfig &c) { c.scalarReplace = false; }},
-        {"prefetch", [](PipelineConfig &c) { c.prefetch = false; }},
-    };
-    for (const Case &c : cases) {
+    for (const DisableCase &c : kDisableCases) {
         PipelineConfig faulted = allStagesConfig();
         faulted.safety.faults =
             parseFaultSpecs(concat(c.stage, ":*:throw"));
@@ -382,6 +382,98 @@ TEST(Containment, FaultedStageEqualsStageDisabled)
             << c.stage;
         EXPECT_GT(with_fault.containedFaults(), 0u) << c.stage;
         EXPECT_EQ(without_stage.containedFaults(), 0u) << c.stage;
+    }
+}
+
+TEST(Containment, OracleFaultedStageEqualsStageDisabled)
+{
+    // The oracle fault corrupts a stage's output semantically, so the
+    // oracle rejects it and the nest keeps its pre-stage state -- and
+    // the oracle's kept runs of that state. The next stage must check
+    // against those runs: had it kept the rejected candidate's, every
+    // later stage would mismatch and roll back too. So only the
+    // faulted stage is contained, and the program equals the one with
+    // that stage disabled, at one and at two trials.
+    Program program = triProgram();
+    const MachineModel machine = MachineModel::hpPa7100();
+
+    for (std::size_t trials : {1u, 2u}) {
+        for (const DisableCase &c : kDisableCases) {
+            SCOPED_TRACE(concat(c.stage, ", ", trials, " trial(s)"));
+            PipelineConfig faulted = allStagesConfig();
+            faulted.safety.oracle = true;
+            faulted.safety.oracleTrials = trials;
+            faulted.safety.faults =
+                parseFaultSpecs(concat(c.stage, ":*:oracle"));
+            PipelineResult with_fault =
+                optimizeProgram(program, machine, faulted);
+
+            PipelineConfig disabled = allStagesConfig();
+            disabled.safety.oracle = true;
+            disabled.safety.oracleTrials = trials;
+            c.disable(disabled);
+            PipelineResult without_stage =
+                optimizeProgram(program, machine, disabled);
+
+            EXPECT_EQ(renderProgram(with_fault.program),
+                      renderProgram(without_stage.program));
+            EXPECT_GT(with_fault.containedFaults(), 0u);
+            EXPECT_EQ(without_stage.containedFaults(), 0u);
+            std::vector<StageDiagnostic> diags =
+                with_fault.programDiagnostics;
+            for (const NestOutcome &outcome : with_fault.outcomes)
+                diags.insert(diags.end(), outcome.contained.begin(),
+                             outcome.contained.end());
+            for (const StageDiagnostic &diag : diags) {
+                EXPECT_EQ(stageName(diag.stage), std::string(c.stage));
+                EXPECT_EQ(diag.kind, StageDiagnostic::Kind::Oracle);
+            }
+        }
+    }
+}
+
+TEST(Containment, UninterpretableReferenceRollsBackEveryStage)
+{
+    // 8216 x 8216 elements with the halo: past the interpreter's 2^26
+    // cap, so the nest's reference state cannot be interpreted. The
+    // guard keeps that failure, and every stage rolls back with the
+    // message verifyEquivalence gives for it.
+    Program program = parseProgram(R"(
+param n = 8200
+real a(n, n)
+real b(n, n)
+do j = 1, n
+  do i = 1, n
+    a(i, j) = b(i, j) + b(i + 1, j)
+  end do
+end do
+)",
+                                   "huge");
+    PipelineConfig config;
+    config.safety.oracle = true;
+    config.threads = 1;
+    PipelineResult result =
+        optimizeProgram(program, MachineModel::decAlpha21064(), config);
+
+    OracleConfig oracle;
+    OracleVerdict expected = verifyEquivalence(
+        program, program.nests(), program.nests(), true, oracle, 0);
+    ASSERT_FALSE(expected.ok);
+    EXPECT_NE(expected.mismatch.find("execution failed"),
+              std::string::npos);
+    EXPECT_NE(expected.mismatch.find("caps arrays"), std::string::npos);
+
+    EXPECT_EQ(renderProgram(result.program), renderProgram(program));
+    ASSERT_EQ(result.outcomes.size(), 1u);
+    const std::vector<StageDiagnostic> &contained =
+        result.outcomes[0].contained;
+    ASSERT_EQ(contained.size(), 3u);
+    const Stage stages[] = {Stage::Normalize, Stage::Unroll,
+                            Stage::ScalarReplace};
+    for (std::size_t s = 0; s < contained.size(); ++s) {
+        EXPECT_EQ(contained[s].stage, stages[s]);
+        EXPECT_EQ(contained[s].kind, StageDiagnostic::Kind::Oracle);
+        EXPECT_EQ(contained[s].message, expected.mismatch);
     }
 }
 

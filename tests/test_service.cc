@@ -66,12 +66,18 @@ sourceProgram()
     return parseProgram(kSource, "<test>");
 }
 
-/** A fresh per-test directory under the gtest temp root. */
+/**
+ * A fresh per-test directory under the gtest temp root. A directory
+ * left by an earlier run with the same pid is cleared first, so a
+ * test never starts with another run's cache entries.
+ */
 std::string
 scratchDir(const std::string &tag)
 {
-    return testing::TempDir() + "ujam-serve-" + tag + "-" +
-           std::to_string(getpid());
+    std::string dir = testing::TempDir() + "ujam-serve-" + tag + "-" +
+                      std::to_string(getpid());
+    std::filesystem::remove_all(dir);
+    return dir;
 }
 
 std::string
@@ -178,6 +184,17 @@ TEST(ServiceCache, KeyChangesWithEverySemanticInput)
     vary([](PipelineConfig &, MachineModel &, std::string &op) {
         op = "lint";
     });
+
+    // Programs that differ only past a constant's sixth significant
+    // digit are different programs.
+    for (const char *constant : {"0.1234567", "0.1234568"}) {
+        Program scaled = parseProgram(
+            concat("real a(10, 10)\nreal b(10, 10)\ndo j = 1, 10\n"
+                   "  do i = 1, 10\n    a(i, j) = b(i, j) * ",
+                   constant, "\n  end do\nend do\n"),
+            "<test>");
+        keys.push_back(computeCacheKey("optimize", scaled, alpha, config));
+    }
 
     // All distinct pairwise, not merely distinct from the base.
     std::sort(keys.begin(), keys.end());
@@ -316,6 +333,7 @@ TEST(ResultCacheTier, DiskSurvivesAndPromotes)
     // The disk hit was promoted into the memory tier.
     reopened.get("deadbeef", &tier);
     EXPECT_EQ(tier, CacheTier::Memory);
+    std::filesystem::remove_all(dir);
 }
 
 // --- protocol parsing -----------------------------------------------
@@ -506,6 +524,7 @@ TEST(ServiceBatch, PersistentCacheSurvivesRestart)
     EXPECT_EQ(warm, cold);
     EXPECT_EQ(restarted.metrics().cacheDiskHits.get(), 1u);
     EXPECT_EQ(restarted.metrics().cacheMisses.get(), 0u);
+    std::filesystem::remove_all(dir);
 }
 
 TEST(ServiceBatch, NoCacheBypassesBothTiers)

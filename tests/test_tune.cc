@@ -21,7 +21,10 @@
 #include <gtest/gtest.h>
 
 #include "codegen/compile.hh"
+#include "scenarios/corpus_hook.hh"
+#include "service/protocol.hh"
 #include "service/server.hh"
+#include "support/diagnostics.hh"
 #include "support/json.hh"
 #include "tune/autotuner.hh"
 #include "workloads/suite.hh"
@@ -84,6 +87,42 @@ TEST(TuneModel, RerunsAreBitIdentical)
               tuneResultJson(second, config));
     EXPECT_EQ(tuneFeatureRowJson("mmjik", first, first.nests[0]),
               tuneFeatureRowJson("mmjik", second, second.nests[0]));
+}
+
+TEST(TuneModel, SuiteJsonMatchesGolden)
+{
+    // Byte for byte what `ujam-tune --measure model --suite --json`
+    // prints: every suite loop's candidates with their model numbers
+    // (balance, score, registers, simulated cycles), which come from
+    // the unroll tables and the candidates' pipelines. Model mode is
+    // deterministic, so no number may move.
+    ServiceRequest request;
+    ASSERT_EQ(applyRequestOption(request, "tune_measure", "model"), "");
+    const MachineModel machine = MachineModel::decAlpha21064();
+    std::string json = "{\"schema\": \"ujam-tune-cli-v1\", "
+                       "\"programs\": [";
+    for (const SuiteLoop &loop : testSuite()) {
+        LoadedProgram entry = loadProgramInput(loop.name, true, true);
+        TuneResult result =
+            tuneProgram(entry.program, machine, request.tune);
+        if (&loop != &testSuite().front())
+            json += ", ";
+        json += concat("{\"program\": \"", entry.name, "\", \"tune\": ",
+                       tuneResultJson(result, request.tune), "}");
+    }
+    json += "]}\n";
+
+    const std::string path =
+        std::string(UJAM_TEST_GOLDEN_DIR) + "/tune_model_suite.golden";
+    if (std::getenv("UJAM_UPDATE_GOLDEN")) {
+        std::ofstream(path) << json;
+        GTEST_SKIP() << "golden updated";
+    }
+    std::ifstream in(path);
+    ASSERT_TRUE(in) << "cannot open " << path;
+    std::ostringstream golden;
+    golden << in.rdbuf();
+    EXPECT_EQ(json, golden.str());
 }
 
 // --- model-vs-measured sanity over suite loops ----------------------
