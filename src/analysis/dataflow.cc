@@ -5,6 +5,7 @@
 #include <numeric>
 #include <sstream>
 
+#include "ir/validate.hh"
 #include "support/diagnostics.hh"
 
 namespace ujam
@@ -287,9 +288,8 @@ boundInterval(const Bound &bound, const ParamBindings &params)
 // ------------------------------------------------------------ NestDataflow
 
 NestDataflow::NestDataflow(const Program &program, const LoopNest &nest,
-                           const ParamBindings &params,
-                           std::int64_t haloElems)
-    : program_(program), nest_(nest), params_(params), halo_(haloElems)
+                           const ParamBindings &params)
+    : program_(program), nest_(nest), params_(params)
 {
     const std::size_t depth = nest.depth();
     loops_.resize(depth);
@@ -395,8 +395,10 @@ NestDataflow::analyzeRef(const ArrayRef &ref, bool is_write) const
             }
             if (r.lo < 1 || r.hi > extents[d])
                 out.inBounds = false;
-            if (r.lo < 1 - halo_ || r.hi > extents[d] + halo_)
+            if (r.lo < 1 - ArrayLayout::haloElems ||
+                r.hi > extents[d] + ArrayLayout::haloElems) {
                 out.inHalo = false;
+            }
         }
 
         // Flat column-major halo-padded index and innermost stride.
@@ -405,14 +407,16 @@ NestDataflow::analyzeRef(const ArrayRef &ref, bool is_write) const
         std::int64_t inner = 0;
         for (std::size_t d = 0; d < out.dims.size(); ++d) {
             AbstractValue sub{out.dims[d].range, out.dims[d].cong};
-            flat = flat.plus(sub.shifted(halo_ - 1).scaled(stride));
+            flat = flat.plus(
+                sub.shifted(ArrayLayout::haloElems - 1).scaled(stride));
             if (depth > 0) {
                 const IntVector &row = ref.row(d);
                 std::int64_t coeff =
                     depth - 1 < row.size() ? row[depth - 1] : 0;
                 inner = satAdd(inner, satMul(coeff, stride));
             }
-            stride = satMul(stride, extents[d] + 2 * halo_);
+            stride =
+                satMul(stride, extents[d] + 2 * ArrayLayout::haloElems);
         }
         out.flat = flat.range;
         out.flatCong = flat.cong;
@@ -452,20 +456,6 @@ NestDataflow::provablyEmpty() const
             return true;
     }
     return false;
-}
-
-bool
-NestDataflow::allInBounds() const
-{
-    for (const AccessDataflow &a : accesses_) {
-        if (!a.inBounds)
-            return false;
-    }
-    for (const AccessDataflow &a : headers_) {
-        if (!a.inBounds)
-            return false;
-    }
-    return true;
 }
 
 bool

@@ -238,11 +238,12 @@ class NestDataflow
      * @param nest       The nest to analyze.
      * @param params     Parameter bindings; unbound parameters widen
      *                   the affected facts to top.
-     * @param haloElems  Guard-band width used for the inHalo facts
-     *                   and the flat layout.
+     *
+     * The inHalo facts and the flat layout use the interpreter's
+     * guard halo (ArrayLayout::haloElems).
      */
     NestDataflow(const Program &program, const LoopNest &nest,
-                 const ParamBindings &params, std::int64_t haloElems);
+                 const ParamBindings &params);
 
     const std::vector<LoopDataflow> &loops() const { return loops_; }
 
@@ -257,10 +258,6 @@ class NestDataflow
 
     /** @return True iff the nest provably executes no iteration. */
     bool provablyEmpty() const;
-
-    /** @return True iff every access (headers included) is provably
-     * within its declared extents. */
-    bool allInBounds() const;
 
     /** @return True iff every access (headers included) is provably
      * within extent + halo -- the C backend's bounds certificate. */
@@ -283,7 +280,6 @@ class NestDataflow
     const Program &program_;
     const LoopNest &nest_;
     ParamBindings params_;
-    std::int64_t halo_;
     std::vector<LoopDataflow> loops_;
     std::vector<AccessDataflow> accesses_;
     std::vector<AccessDataflow> headers_;

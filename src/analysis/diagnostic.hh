@@ -73,7 +73,6 @@ struct LintDiagnostic
 struct LintOptions
 {
     std::int64_t maxUnroll = 8; //!< optimizer search bound to mirror
-    std::int64_t haloElems = 8; //!< reach-check tolerance (validator's)
     LintSeverity minSeverity = LintSeverity::Note; //!< report threshold
 };
 

@@ -54,35 +54,19 @@ RuleContext::constraints()
     return constraints_;
 }
 
-const std::optional<std::vector<std::pair<std::int64_t, std::int64_t>>> &
+const std::optional<LoopRanges> &
 RuleContext::ranges()
 {
-    if (rangesComputed_)
-        return ranges_;
-    rangesComputed_ = true;
-    std::vector<std::pair<std::int64_t, std::int64_t>> result;
-    for (const Loop &loop : nest_.loops()) {
-        try {
-            std::int64_t lo =
-                loop.lower.evaluate(program_.paramDefaults());
-            std::int64_t hi =
-                loop.upper.evaluate(program_.paramDefaults());
-            result.emplace_back(lo, hi);
-        } catch (const FatalError &) {
-            return ranges_; // stays empty
-        }
-    }
-    ranges_ = std::move(result);
-    return ranges_;
+    if (!ranges_)
+        ranges_ = loopRanges(program_, nest_);
+    return *ranges_;
 }
 
 const NestDataflow &
 RuleContext::dataflow()
 {
-    if (!dataflow_) {
-        dataflow_.emplace(program_, nest_, program_.paramDefaults(),
-                          options_.haloElems);
-    }
+    if (!dataflow_)
+        dataflow_.emplace(program_, nest_, program_.paramDefaults());
     return *dataflow_;
 }
 

@@ -18,6 +18,7 @@
 #include "analysis/dataflow.hh"
 #include "analysis/diagnostic.hh"
 #include "deps/analyzer.hh"
+#include "ir/validate.hh"
 #include "model/machine.hh"
 #include "reuse/ugs.hh"
 
@@ -64,15 +65,14 @@ class RuleContext
 
     /**
      * @return [lo, hi] per loop under the program's parameter
-     * defaults, or nothing when some bound does not evaluate.
+     * defaults, or nothing when some bound does not evaluate
+     * (loopRanges; cached).
      */
-    const std::optional<std::vector<std::pair<std::int64_t,
-                                              std::int64_t>>> &
-    ranges();
+    const std::optional<LoopRanges> &ranges();
 
     /**
      * @return The symbolic dataflow facts for the nest under the
-     * program's parameter defaults and options().haloElems (cached).
+     * program's parameter defaults (cached).
      * Unlike ranges(), individual facts degrade to top instead of the
      * whole result vanishing when one bound is symbolic.
      */
@@ -110,9 +110,7 @@ class RuleContext
     std::optional<std::vector<UniformlyGeneratedSet>> ugs_;
     std::optional<IntVector> safeBounds_;
     std::vector<UnrollConstraint> constraints_;
-    bool rangesComputed_ = false;
-    std::optional<std::vector<std::pair<std::int64_t, std::int64_t>>>
-        ranges_;
+    std::optional<std::optional<LoopRanges>> ranges_;
     std::optional<NestDataflow> dataflow_;
     std::optional<PruneStats> pruneStats_;
 };

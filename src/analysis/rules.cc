@@ -9,7 +9,10 @@
  * mirror the exact guards of the transform/validator/oracle stack:
  * UJ001 the unroll stage's perfect-nest assertion, UJ003/UJ004/UJ009
  * the structural and reach validators, UJ010 the jam-order semantics
- * the differential oracle checks.
+ * the differential oracle checks. UJ003, UJ009 and UJ013 call the
+ * strict validator's own checks (ir/validate) and differ from it only
+ * in coverage (the validator also checks prefetch references, UJ009
+ * only body accesses), dedup and wording.
  */
 
 #include <cstdlib>
@@ -153,23 +156,24 @@ class DeclarationsRule : public Rule
                      .second) {
                 return;
             }
-            if (!ctx.program().hasArray(ref.array())) {
+            RefDeclaration facts =
+                refDeclaration(ctx.program(), ctx.nest(), ref);
+            if (!facts.decl) {
                 out.push_back(ctx.finding(
                     id(), defaultSeverity(), ref.loc(),
                     concat("reference to undeclared array '",
                            ref.array(), "'")));
                 return;
             }
-            const ArrayDecl &decl = ctx.program().array(ref.array());
-            if (decl.extents.size() != ref.dims()) {
+            if (!facts.rankMatches) {
                 out.push_back(ctx.finding(
                     id(), defaultSeverity(), ref.loc(),
                     concat("array '", ref.array(), "' has rank ",
-                           decl.extents.size(),
+                           facts.decl->extents.size(),
                            " but is referenced with ", ref.dims(),
                            " subscripts")));
             }
-            if (ref.depth() != ctx.nest().depth()) {
+            if (!facts.depthMatches) {
                 out.push_back(ctx.finding(
                     id(), defaultSeverity(), ref.loc(),
                     concat("reference to '", ref.array(),
@@ -424,63 +428,33 @@ class ReachRule : public Rule
         const auto &ranges = ctx.ranges();
         if (!ranges)
             return;
-        for (const auto &[lo, hi] : *ranges) {
-            if (hi < lo)
-                return; // zero-trip: nothing is accessed (UJ006)
-        }
         std::set<std::string> reported;
-        for (const Access &access : ctx.accesses())
-            checkRef(ctx, access.ref, *ranges, reported, out);
-    }
-
-  private:
-    void
-    checkRef(RuleContext &ctx, const ArrayRef &ref,
-             const std::vector<std::pair<std::int64_t, std::int64_t>>
-                 &ranges,
-             std::set<std::string> &reported,
-             std::vector<LintDiagnostic> &out) const
-    {
-        const Program &program = ctx.program();
-        if (!program.hasArray(ref.array()))
-            return;
-        const ArrayDecl &decl = program.array(ref.array());
-        if (decl.extents.size() != ref.dims() ||
-            ref.depth() != ctx.nest().depth()) {
-            return; // UJ003 territory
-        }
-        if (!reported.insert(ref.array() + "#" + ref.toString()).second)
-            return;
-        for (std::size_t d = 0; d < ref.dims(); ++d) {
-            std::int64_t extent;
-            try {
-                extent =
-                    decl.extents[d].evaluate(program.paramDefaults());
-            } catch (const FatalError &) {
-                return; // UJ004 territory
+        for (const Access &access : ctx.accesses()) {
+            const ArrayRef &ref = access.ref;
+            RefDeclaration facts =
+                refDeclaration(ctx.program(), ctx.nest(), ref);
+            if (!facts.consistent())
+                continue; // UJ003 territory
+            if (!reported.insert(ref.array() + "#" + ref.toString())
+                     .second) {
+                continue;
             }
-            std::int64_t min = ref.offset()[d];
-            std::int64_t max = ref.offset()[d];
-            for (std::size_t k = 0; k < ctx.nest().depth(); ++k) {
-                std::int64_t coeff = ref.row(d)[k];
-                min += coeff * (coeff >= 0 ? ranges[k].first
-                                           : ranges[k].second);
-                max += coeff * (coeff >= 0 ? ranges[k].second
-                                           : ranges[k].first);
-            }
-            std::int64_t halo = ctx.options().haloElems;
-            if (min < 1 - halo || max > extent + halo) {
-                out.push_back(ctx.finding(
-                    id(), defaultSeverity(), ref.loc(),
-                    concat("reference ",
-                           ref.toString(ctx.nest().ivNames()),
-                           " dimension ", d + 1, " spans [", min, ", ",
-                           max, "] outside extent ", extent,
-                           " + halo ", halo,
-                           "; the strict validator would reject every "
-                           "transformed version of this nest")));
-                return;
-            }
+            // Nothing for a zero-trip nest (UJ006) or an extent that
+            // does not evaluate (UJ004).
+            std::optional<ReachEscape> escape =
+                reachEscape(*facts.decl, ref, *ranges,
+                            ctx.program().paramDefaults());
+            if (!escape)
+                continue;
+            out.push_back(ctx.finding(
+                id(), defaultSeverity(), ref.loc(),
+                concat("reference ", ref.toString(ctx.nest().ivNames()),
+                       " dimension ", escape->dim + 1, " spans [",
+                       escape->min, ", ", escape->max,
+                       "] outside extent ", escape->extent, " + halo ",
+                       ArrayLayout::haloElems,
+                       "; the strict validator would reject every "
+                       "transformed version of this nest")));
         }
     }
 };
@@ -702,31 +676,25 @@ class IvMisuseRule : public Rule
     void
     check(RuleContext &ctx, std::vector<LintDiagnostic> &out) const override
     {
-        std::set<std::string> ivs;
-        for (const Loop &loop : ctx.nest().loops())
-            ivs.insert(loop.iv);
         auto scan = [&](const std::vector<Stmt> &stmts,
                         const char *where) {
             for (const Stmt &stmt : stmts) {
-                if (stmt.isPrefetch())
-                    continue;
-                if (!stmt.lhsIsArray() && ivs.count(stmt.lhsScalar())) {
-                    out.push_back(ctx.finding(
-                        id(), defaultSeverity(), stmt.loc(),
-                        concat(where, ": assignment to scalar '",
-                               stmt.lhsScalar(),
-                               "' shadows an induction variable")));
-                }
-                forEachScalarRead(
-                    stmt.rhs(), [&](const std::string &name) {
-                        if (!ivs.count(name))
-                            return;
+                forEachIvMisuse(
+                    ctx.nest(), stmt,
+                    [&](IvMisuse misuse, const std::string &name) {
                         out.push_back(ctx.finding(
                             id(), defaultSeverity(), stmt.loc(),
-                            concat(where, ": scalar read of '", name,
-                                   "' names an induction variable "
-                                   "(it reads 0.0, not the loop "
-                                   "counter)")));
+                            misuse == IvMisuse::Assign
+                                ? concat(where,
+                                         ": assignment to scalar '",
+                                         name,
+                                         "' shadows an induction "
+                                         "variable")
+                                : concat(where, ": scalar read of '",
+                                         name,
+                                         "' names an induction "
+                                         "variable (it reads 0.0, not "
+                                         "the loop counter)")));
                     });
             }
         };
@@ -839,22 +807,18 @@ class PostTransformReachRule : public Rule
         if (legal.isZero())
             return; // no transform is possible at all
 
-        std::int64_t halo = ctx.options().haloElems;
         std::set<std::string> reported;
         for (const Access &access : ctx.accesses()) {
             const ArrayRef &ref = access.ref;
-            if (!ctx.program().hasArray(ref.array()))
+            RefDeclaration facts =
+                refDeclaration(ctx.program(), nest, ref);
+            if (!facts.consistent())
                 continue; // UJ003 territory
-            const ArrayDecl &decl = ctx.program().array(ref.array());
-            if (decl.extents.size() != ref.dims() ||
-                ref.depth() != nest.depth()) {
-                continue; // UJ003 territory
-            }
             if (!reported.insert(ref.array() + "#" + ref.toString())
                      .second) {
                 continue;
             }
-            checkRef(ctx, df, ref, decl, legal, halo, out);
+            checkRef(ctx, df, ref, *facts.decl, legal, out);
         }
     }
 
@@ -862,10 +826,11 @@ class PostTransformReachRule : public Rule
     void
     checkRef(RuleContext &ctx, const NestDataflow &df,
              const ArrayRef &ref, const ArrayDecl &decl,
-             const IntVector &legal, std::int64_t halo,
+             const IntVector &legal,
              std::vector<LintDiagnostic> &out) const
     {
         const LoopNest &nest = ctx.nest();
+        const std::int64_t halo = ArrayLayout::haloElems;
         for (std::size_t d = 0; d < ref.dims(); ++d) {
             Interval extent = boundInterval(
                 decl.extents[d], ctx.program().paramDefaults());

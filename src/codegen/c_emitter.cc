@@ -6,17 +6,15 @@
 #include <sstream>
 
 #include "analysis/dataflow.hh"
-#include "ir/interp.hh"
+#include "ir/printer.hh"
+#include "ir/validate.hh"
 #include "support/diagnostics.hh"
-#include "support/rational.hh"
 
 namespace ujam
 {
 
 namespace
 {
-
-constexpr std::int64_t kHalo = Interpreter::haloElems;
 
 /** C99 keywords plus every identifier the fixed runtime code uses at
  * file or call scope. DSL names landing here are renamed. */
@@ -99,13 +97,10 @@ class NameTable
     std::map<std::string, std::string> names_;
 };
 
-/** Concrete storage shape of one array (interpreter layout). */
-struct ArrayLayout
+/** One array's storage: the interpreter's layout, under a C name. */
+struct CArray : ArrayLayout
 {
     std::string cName;
-    std::vector<std::int64_t> extents; //!< per dimension, halo excluded
-    std::vector<std::int64_t> strides; //!< column-major, halo included
-    std::int64_t total = 1;            //!< elements, halo included
 };
 
 /** @return value as a C double literal that round-trips bit-exactly. */
@@ -167,29 +162,13 @@ class Emitter
     void
     layoutArrays()
     {
+        // The interpreter's own layout and limits, so generated flat
+        // indices equal interpreter flat indices and every emittable
+        // program is also interpretable.
         for (const ArrayDecl &decl : program_.arrays()) {
-            ArrayLayout layout;
-            layout.cName = names_.claim(decl.name);
-            for (const Bound &extent : decl.extents) {
-                std::int64_t ext = extent.evaluate(params_);
-                if (ext < 1) {
-                    fatal("array '", decl.name,
-                          "' has non-positive extent ", ext);
-                }
-                layout.extents.push_back(ext);
-                layout.strides.push_back(layout.total);
-                layout.total =
-                    checkedMul(layout.total, ext + 2 * kHalo);
-            }
-            // Static storage: refuse what the interpreter refuses, so
-            // every emittable program is also interpretable.
-            constexpr std::int64_t max_elems = std::int64_t(1) << 26;
-            if (layout.total > max_elems) {
-                fatal("array '", decl.name, "' needs ", layout.total,
-                      " elements (halo included); codegen caps arrays "
-                      "at ", max_elems, " elements");
-            }
-            layouts_.emplace(decl.name, std::move(layout));
+            layouts_.emplace(decl.name,
+                             CArray{arrayLayout(decl, params_),
+                                    names_.claim(decl.name)});
         }
     }
 
@@ -264,7 +243,7 @@ class Emitter
     proveBounds() const
     {
         for (const LoopNest &nest : program_.nests()) {
-            NestDataflow df(program_, nest, params_, kHalo);
+            NestDataflow df(program_, nest, params_);
             if (!df.allInHalo())
                 return false;
         }
@@ -309,7 +288,7 @@ class Emitter
     emitStorage()
     {
         for (const ArrayDecl &decl : program_.arrays()) {
-            const ArrayLayout &layout = layouts_.at(decl.name);
+            const CArray &layout = layouts_.at(decl.name);
             os_ << "/* " << decl.name << "(";
             for (std::size_t d = 0; d < decl.extents.size(); ++d) {
                 os_ << (d ? ", " : "") << decl.extents[d].toString();
@@ -318,7 +297,8 @@ class Emitter
             os_ << " extents";
             for (std::int64_t ext : layout.extents)
                 os_ << " " << ext;
-            os_ << ", halo " << kHalo << " per side. */\n";
+            os_ << ", halo " << ArrayLayout::haloElems
+                << " per side. */\n";
             os_ << "static double " << layout.cName << "["
                 << layout.total << "];\n";
         }
@@ -380,7 +360,7 @@ class Emitter
             << "    int64_t ujam_i;\n";
         std::size_t index = 0;
         for (const ArrayDecl &decl : program_.arrays()) {
-            const ArrayLayout &layout = layouts_.at(decl.name);
+            const CArray &layout = layouts_.at(decl.name);
             std::uint64_t base = index * 0x10001ULL;
             os_ << "    for (ujam_i = 0; ujam_i < " << layout.total
                 << "; ++ujam_i)\n"
@@ -431,7 +411,7 @@ class Emitter
                 << "    int64_t ujam_count;\n"
                 << "} ujam_arrays[" << arrays.size() << "] = {\n";
             for (const ArrayDecl &decl : arrays) {
-                const ArrayLayout &layout = layouts_.at(decl.name);
+                const CArray &layout = layouts_.at(decl.name);
                 os_ << "    {\"" << decl.name << "\", "
                     << layout.cName << ", " << layout.total << "},\n";
             }
@@ -602,7 +582,7 @@ class Emitter
                 continue;
             }
             indent(depth);
-            os_ << "/* " << renderStmtDsl(stmt, iv_dsl) << " */\n";
+            os_ << "/* " << renderStmt(stmt, iv_dsl) << " */\n";
             indent(depth);
             if (stmt.lhsIsArray()) {
                 os_ << renderArrayElem(stmt.lhsRef(), iv_c) << " = "
@@ -619,7 +599,7 @@ class Emitter
                  const std::vector<std::string> &iv_c,
                  const std::vector<std::string> &iv_dsl, int depth)
     {
-        const ArrayLayout &layout = layouts_.at(ref.array());
+        const CArray &layout = layouts_.at(ref.array());
         indent(depth);
         os_ << "/* prefetch " << ref.toString(iv_dsl) << " */\n";
         indent(depth);
@@ -639,8 +619,9 @@ class Emitter
                 os_ << " &&\n";
                 indent(depth + 2);
             }
-            os_ << "ujam_s" << d << " >= " << 1 - kHalo << " && ujam_s"
-                << d << " <= " << layout.extents[d] + kHalo;
+            os_ << "ujam_s" << d << " >= " << 1 - ArrayLayout::haloElems
+                << " && ujam_s" << d << " <= "
+                << layout.extents[d] + ArrayLayout::haloElems;
         }
         os_ << ") {\n";
         indent(depth + 2);
@@ -648,7 +629,8 @@ class Emitter
         for (std::size_t d = 0; d < ref.dims(); ++d) {
             if (d)
                 os_ << " + ";
-            os_ << "(ujam_s" << d << " + " << kHalo - 1 << ")";
+            os_ << "(ujam_s" << d << " + " << ArrayLayout::haloElems - 1
+                << ")";
             if (layout.strides[d] != 1)
                 os_ << " * " << layout.strides[d];
         }
@@ -681,11 +663,12 @@ class Emitter
     renderArrayElem(const ArrayRef &ref,
                     const std::vector<std::string> &iv_c) const
     {
-        const ArrayLayout &layout = layouts_.at(ref.array());
+        const CArray &layout = layouts_.at(ref.array());
         std::int64_t base = 0;
         std::vector<std::int64_t> coeff(iv_c.size(), 0);
         for (std::size_t d = 0; d < ref.dims(); ++d) {
-            base += (ref.offset()[d] - 1 + kHalo) * layout.strides[d];
+            base += (ref.offset()[d] - 1 + ArrayLayout::haloElems) *
+                    layout.strides[d];
             const IntVector &row = ref.row(d);
             for (std::size_t k = 0; k < row.size(); ++k)
                 coeff[k] += row[k] * layout.strides[d];
@@ -730,40 +713,6 @@ class Emitter
         panic("unknown expression kind");
     }
 
-    /** @return The statement in source notation, with real loop
-     * variable names, for the comment above each emitted line. */
-    std::string
-    renderStmtDsl(const Stmt &stmt,
-                  const std::vector<std::string> &iv_dsl) const
-    {
-        std::string lhs = stmt.lhsIsArray()
-                              ? stmt.lhsRef().toString(iv_dsl)
-                              : stmt.lhsScalar();
-        return concat(lhs, " = ", renderExprDsl(*stmt.rhs(), iv_dsl));
-    }
-
-    std::string
-    renderExprDsl(const Expr &expr,
-                  const std::vector<std::string> &iv_dsl) const
-    {
-        switch (expr.kind()) {
-          case Expr::Kind::Constant: {
-            std::ostringstream out;
-            out << expr.constantValue();
-            return out.str();
-          }
-          case Expr::Kind::Scalar:
-            return expr.scalarName();
-          case Expr::Kind::ArrayRead:
-            return expr.ref().toString(iv_dsl);
-          case Expr::Kind::Binary:
-            return concat("(", renderExprDsl(*expr.lhs(), iv_dsl), " ",
-                          binOpSpelling(expr.op()), " ",
-                          renderExprDsl(*expr.rhs(), iv_dsl), ")");
-        }
-        panic("unknown expression kind");
-    }
-
     void
     indent(int depth)
     {
@@ -775,7 +724,7 @@ class Emitter
     const CodegenOptions &options_;
     ParamBindings params_;
     NameTable names_;
-    std::map<std::string, ArrayLayout> layouts_;
+    std::map<std::string, CArray> layouts_;
     std::map<std::string, std::string> scalar_names_;
     std::vector<std::string> scalar_order_;
     std::map<std::string, std::string> iv_names_;

@@ -9,10 +9,11 @@
  * produces compilable C that replays the reference interpreter's
  * semantics exactly:
  *
- *  - arrays are file-scope doubles with the interpreter's
- *    column-major, halo-padded layout (Interpreter::haloElems guard
- *    elements on each side of every dimension), so flat indices in
- *    the generated code equal interpreter flat indices;
+ *  - arrays are file-scope doubles in the interpreter's column-major,
+ *    halo-padded layout (arrayLayout in ir/validate, with
+ *    ArrayLayout::haloElems guard elements on each side of every
+ *    dimension), so flat indices in the generated code equal
+ *    interpreter flat indices;
  *  - ujam_init() fills every array with the interpreter's
  *    deterministic SplitMix64-derived values for a given seed;
  *  - loops run with preheader/postheader placement and zero-trip

@@ -20,10 +20,8 @@ leaderOffsets(const UniformlyGeneratedSet &ugs,
     std::vector<IntVector> leaders;
     leaders.reserve(groups.size());
     for (const ReuseGroup &group : groups) {
-        IntVector offset = ugs.members[group.leader].ref.offset();
-        if (spatial && offset.size() > 0)
-            offset[0] = 0;
-        leaders.push_back(std::move(offset));
+        const ArrayRef &ref = ugs.members[group.leader].ref;
+        leaders.push_back(spatial ? ref.spatialOffset() : ref.offset());
     }
     std::sort(leaders.begin(), leaders.end(), IntVectorLexLess());
     return leaders;

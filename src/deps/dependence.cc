@@ -49,16 +49,6 @@ Dependence::loopCarried() const
     return false;
 }
 
-int
-Dependence::carrierLevel() const
-{
-    for (std::size_t k = 0; k < dirs.size(); ++k) {
-        if (dirs[k] != DepDir::Eq)
-            return static_cast<int>(k);
-    }
-    return -1;
-}
-
 std::string
 Dependence::toString() const
 {

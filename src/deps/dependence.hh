@@ -76,12 +76,6 @@ struct Dependence
     /** @return True iff any direction is not Eq. */
     bool loopCarried() const;
 
-    /**
-     * @return Index of the outermost non-Eq direction (the carrier
-     * level), or -1 for a loop-independent dependence.
-     */
-    int carrierLevel() const;
-
     /** @return e.g. "flow (<,=) d=(1, 0)". */
     std::string toString() const;
 };

@@ -24,15 +24,6 @@ DependenceGraph::countOfKind(DepKind kind) const
     return count;
 }
 
-double
-DependenceGraph::inputFraction() const
-{
-    if (edges_.empty())
-        return 0.0;
-    return static_cast<double>(inputCount()) /
-           static_cast<double>(edges_.size());
-}
-
 std::size_t
 DependenceGraph::edgeBytes(std::size_t depth)
 {

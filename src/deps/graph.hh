@@ -49,9 +49,6 @@ class DependenceGraph
     /** @return Number of input (read-read) edges. */
     std::size_t inputCount() const { return countOfKind(DepKind::Input); }
 
-    /** @return Input edges as a fraction of all edges (0 if empty). */
-    double inputFraction() const;
-
     /** @return Modeled bytes for one edge at the given nest depth. */
     static std::size_t edgeBytes(std::size_t depth);
 

@@ -317,7 +317,7 @@ main(int argc, char **argv)
                      d < dims.size() && d < decl.extents.size(); ++d) {
                     std::int64_t extent =
                         decl.extents[d].evaluate(interp.params());
-                    std::int64_t halo = Interpreter::haloElems;
+                    std::int64_t halo = ArrayLayout::haloElems;
                     std::int64_t lo_slack = dims[d].min - (1 - halo);
                     std::int64_t hi_slack =
                         extent + halo - dims[d].max;

@@ -113,17 +113,6 @@ ArrayRef::unitStepped(std::size_t k, std::int64_t lb, std::int64_t s) const
     return ArrayRef(array_, std::move(rows), std::move(offset));
 }
 
-int
-ArrayRef::loopForDim(std::size_t d) const
-{
-    UJAM_ASSERT(d < dims(), "dimension out of range");
-    for (std::size_t k = 0; k < depth(); ++k) {
-        if (rows_[d][k] != 0)
-            return static_cast<int>(k);
-    }
-    return -1;
-}
-
 std::pair<int, std::int64_t>
 ArrayRef::termForLoop(std::size_t k) const
 {

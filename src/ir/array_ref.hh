@@ -101,12 +101,6 @@ class ArrayRef
                          std::int64_t s) const;
 
     /**
-     * @return The loop (column) indexing array dimension d, or -1 if
-     * the row is all zero. @pre isSivSeparable().
-     */
-    int loopForDim(std::size_t d) const;
-
-    /**
      * @return The coefficient of loop k across all rows, and the row
      * it appears in, as (row, coeff); (-1, 0) if the column is zero.
      * @pre isSivSeparable().

@@ -33,29 +33,10 @@ Interpreter::Interpreter(const Program &program,
 
     std::int64_t next_base = 0;
     for (const ArrayDecl &decl : program.arrays()) {
-        ArrayStorage array;
-        array.name = decl.name;
-        std::int64_t total = 1;
-        for (const Bound &extent : decl.extents) {
-            std::int64_t ext = extent.evaluate(params_);
-            if (ext < 1)
-                fatal("array '", decl.name, "' has non-positive extent ",
-                      ext);
-            array.extents.push_back(ext);
-            array.strides.push_back(total); // column-major, halo-padded
-            total = checkedMul(total, ext + 2 * haloElems);
-        }
-        // Bit-exact differential runs need real storage; refuse sizes
-        // that would thrash or OOM the host instead of hanging.
-        constexpr std::int64_t max_elems = std::int64_t(1) << 26;
-        if (total > max_elems) {
-            fatal("array '", decl.name, "' needs ", total,
-                  " elements (halo included); the interpreter caps "
-                  "arrays at ", max_elems, " elements");
-        }
-        array.base = next_base;
-        array.data.assign(static_cast<std::size_t>(total), 0.0);
-        next_base += total;
+        ArrayStorage array{arrayLayout(decl, params_), decl.name,
+                           next_base, {}};
+        array.data.assign(static_cast<std::size_t>(array.total), 0.0);
+        next_base += array.total;
 
         array_index_[array.name] = arrays_.size();
         arrays_.push_back(std::move(array));
@@ -119,9 +100,9 @@ Interpreter::flatIndex(const ArrayStorage &array, const ArrayRef &ref) const
                 sub += row[k] * iv_values_[k];
         }
         // 1-based subscript with a halo margin on each side.
-        std::int64_t shifted = sub - 1 + haloElems;
+        std::int64_t shifted = sub - 1 + ArrayLayout::haloElems;
         if (shifted < 0 ||
-            shifted >= array.extents[d] + 2 * haloElems) {
+            shifted >= array.extents[d] + 2 * ArrayLayout::haloElems) {
             fatal("subscript ", sub, " of dimension ", d + 1,
                   " of array '", array.name, "' is outside extent ",
                   array.extents[d], " plus halo");
@@ -215,9 +196,10 @@ Interpreter::execStmt(const Stmt &stmt)
                 if (ref.row(d)[k] != 0)
                     sub += ref.row(d)[k] * iv_values_[k];
             }
-            std::int64_t shifted = sub - 1 + haloElems;
+            std::int64_t shifted = sub - 1 + ArrayLayout::haloElems;
             if (shifted < 0 ||
-                shifted >= array.extents[d] + 2 * haloElems) {
+                shifted >=
+                    array.extents[d] + 2 * ArrayLayout::haloElems) {
                 in_range = false;
             } else {
                 index += shifted * array.strides[d];
@@ -317,7 +299,8 @@ Interpreter::element(const std::string &name,
                 "rank mismatch reading '", name, "'");
     std::int64_t index = 0;
     for (std::size_t d = 0; d < subscripts.size(); ++d)
-        index += (subscripts[d] - 1 + haloElems) * array.strides[d];
+        index += (subscripts[d] - 1 + ArrayLayout::haloElems) *
+                 array.strides[d];
     return array.data[static_cast<std::size_t>(index)];
 }
 

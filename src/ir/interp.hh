@@ -10,10 +10,8 @@
  *    access callback, and
  *  - to count dynamic loads/stores/iterations.
  *
- * Arrays are allocated with a guard halo so transformed code that
- * touches a small margin outside the declared extents (as real
- * unroll-and-jammed Fortran does) stays well defined; accesses beyond
- * the halo raise a fatal error.
+ * Arrays are allocated in the halo-padded layout of ir/validate
+ * (arrayLayout); accesses beyond the halo raise a fatal error.
  */
 
 #ifndef UJAM_IR_INTERP_HH
@@ -26,6 +24,7 @@
 #include <vector>
 
 #include "ir/loop_nest.hh"
+#include "ir/validate.hh"
 
 namespace ujam
 {
@@ -44,9 +43,6 @@ enum class MemAccessKind
 class Interpreter
 {
   public:
-    /** Width of the out-of-bounds guard halo, in elements per side. */
-    static constexpr std::int64_t haloElems = 8;
-
     /**
      * Notification for every dynamic array access.
      * @param address Element address in the global element space.
@@ -134,11 +130,9 @@ class Interpreter
                               double rel_tol) const;
 
   private:
-    struct ArrayStorage
+    struct ArrayStorage : ArrayLayout
     {
         std::string name;
-        std::vector<std::int64_t> extents;  //!< declared extents
-        std::vector<std::int64_t> strides;  //!< element strides w/ halo
         std::int64_t base = 0;              //!< global element base
         std::vector<double> data;           //!< includes halo margins
     };

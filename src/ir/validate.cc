@@ -3,6 +3,7 @@
 #include <set>
 
 #include "support/diagnostics.hh"
+#include "support/rational.hh"
 
 namespace ujam
 {
@@ -20,21 +21,22 @@ checkStmts(const Program &program, const LoopNest &nest,
     const std::string nest_name =
         nest.name().empty() ? "<unnamed>" : nest.name();
     auto check_ref = [&](const ArrayRef &ref) {
-            if (!program.hasArray(ref.array())) {
+            RefDeclaration facts = refDeclaration(program, nest, ref);
+            if (!facts.decl) {
                 problems.push_back(concat("nest ", nest_name, " ", where,
                                           ": undeclared array '",
                                           ref.array(), "'"));
                 return;
             }
-            const ArrayDecl &decl = program.array(ref.array());
-            if (decl.extents.size() != ref.dims()) {
+            if (!facts.rankMatches) {
                 problems.push_back(concat(
                     "nest ", nest_name, " ", where, ": array '",
-                    ref.array(), "' has rank ", decl.extents.size(),
+                    ref.array(), "' has rank ",
+                    facts.decl->extents.size(),
                     " but is referenced with ", ref.dims(),
                     " subscripts"));
             }
-            if (ref.depth() != nest.depth()) {
+            if (!facts.depthMatches) {
                 problems.push_back(concat(
                     "nest ", nest_name, " ", where, ": reference to '",
                     ref.array(), "' has subscript depth ", ref.depth(),
@@ -62,10 +64,9 @@ struct StrictChecker
 
     std::string nestName;
     std::set<std::string> ivs;
-    // Evaluated [lo, hi] per loop; empty when any bound failed to
-    // evaluate (the base validator already reported that).
-    std::vector<std::pair<std::int64_t, std::int64_t>> ranges;
-    bool rangesKnown = false;
+    // Nothing when some bound failed to evaluate (the base validator
+    // already reported that).
+    std::optional<LoopRanges> ranges;
 
     void
     note(const std::string &what)
@@ -95,60 +96,21 @@ struct StrictChecker
     }
 
     void
-    evaluateRanges()
-    {
-        rangesKnown = true;
-        for (const Loop &loop : nest.loops()) {
-            try {
-                std::int64_t lo =
-                    loop.lower.evaluate(program.paramDefaults());
-                std::int64_t hi =
-                    loop.upper.evaluate(program.paramDefaults());
-                ranges.emplace_back(lo, hi);
-                if (hi < lo)
-                    rangesKnown = false; // zero-trip: nothing accessed
-            } catch (const FatalError &) {
-                rangesKnown = false;
-                return;
-            }
-        }
-    }
-
-    void
     checkRefReach(const ArrayRef &ref, const char *where)
     {
-        if (!rangesKnown || !program.hasArray(ref.array()))
+        if (!ranges)
             return;
-        const ArrayDecl &decl = program.array(ref.array());
-        if (decl.extents.size() != ref.dims() ||
-            ref.depth() != nest.depth()) {
-            return; // rank/depth problems already reported
-        }
-        for (std::size_t d = 0; d < ref.dims(); ++d) {
-            std::int64_t extent;
-            try {
-                extent =
-                    decl.extents[d].evaluate(program.paramDefaults());
-            } catch (const FatalError &) {
-                return;
-            }
-            std::int64_t min = ref.offset()[d];
-            std::int64_t max = ref.offset()[d];
-            for (std::size_t k = 0; k < nest.depth(); ++k) {
-                std::int64_t coeff = ref.row(d)[k];
-                min += coeff * (coeff >= 0 ? ranges[k].first
-                                           : ranges[k].second);
-                max += coeff * (coeff >= 0 ? ranges[k].second
-                                           : ranges[k].first);
-            }
-            if (min < 1 - options.haloElems ||
-                max > extent + options.haloElems) {
-                note(concat(where, ": reference to '", ref.array(),
-                            "' dimension ", d + 1, " spans [", min, ", ",
-                            max, "] outside extent ", extent, " + halo ",
-                            options.haloElems));
-                return;
-            }
+        RefDeclaration facts = refDeclaration(program, nest, ref);
+        if (!facts.consistent())
+            return; // the base checks reported it
+        std::optional<ReachEscape> escape = reachEscape(
+            *facts.decl, ref, *ranges, program.paramDefaults());
+        if (escape) {
+            note(concat(where, ": reference to '", ref.array(),
+                        "' dimension ", escape->dim + 1, " spans [",
+                        escape->min, ", ", escape->max,
+                        "] outside extent ", escape->extent, " + halo ",
+                        ArrayLayout::haloElems));
         }
     }
 
@@ -156,22 +118,19 @@ struct StrictChecker
     checkStmts(const std::vector<Stmt> &stmts, const char *where)
     {
         for (const Stmt &stmt : stmts) {
-            if (stmt.isPrefetch()) {
+            forEachIvMisuse(
+                nest, stmt, [&](IvMisuse misuse, const std::string &name) {
+                    note(misuse == IvMisuse::Assign
+                             ? concat(where, ": assignment to scalar '",
+                                      name,
+                                      "' shadows an induction variable")
+                             : concat(where, ": scalar read of '", name,
+                                      "' names an induction variable "
+                                      "(reads 0.0, not the loop "
+                                      "counter)"));
+                });
+            if (stmt.isPrefetch())
                 checkRefReach(stmt.prefetchRef(), where);
-                continue;
-            }
-            if (!stmt.lhsIsArray() && ivs.count(stmt.lhsScalar())) {
-                note(concat(where, ": assignment to scalar '",
-                            stmt.lhsScalar(),
-                            "' shadows an induction variable"));
-            }
-            forEachScalarRead(stmt.rhs(), [&](const std::string &name) {
-                if (ivs.count(name)) {
-                    note(concat(where, ": scalar read of '", name,
-                                "' names an induction variable (reads "
-                                "0.0, not the loop counter)"));
-                }
-            });
             stmt.forEachAccess([&](const ArrayRef &ref, bool) {
                 checkRefReach(ref, where);
             });
@@ -254,18 +213,13 @@ validateNestStrict(const Program &program, const LoopNest &nest,
 {
     std::vector<std::string> problems = validateNest(program, nest);
 
-    StrictChecker checker{program, nest, options, problems, {}, {}, {},
-                          false};
+    StrictChecker checker{program, nest, options, problems, {}, {},
+                          loopRanges(program, nest)};
     checker.nestName = nest.name().empty() ? "<unnamed>" : nest.name();
     for (const Loop &loop : nest.loops())
         checker.ivs.insert(loop.iv);
 
     checker.checkLoops();
-    if (options.checkReach)
-        checker.evaluateRanges();
-    else
-        checker.rangesKnown = false;
-
     checker.checkStmts(nest.body(), "body");
     checker.checkStmts(nest.preheader(), "preheader");
     checker.checkStmts(nest.postheader(), "postheader");
@@ -285,6 +239,115 @@ validateProgramStrict(const Program &program,
                         nest_problems.end());
     }
     return problems;
+}
+
+ArrayLayout
+arrayLayout(const ArrayDecl &decl, const ParamBindings &params)
+{
+    ArrayLayout layout;
+    for (const Bound &extent : decl.extents) {
+        std::int64_t ext = extent.evaluate(params);
+        if (ext < 1)
+            fatal("array '", decl.name, "' has non-positive extent ", ext);
+        layout.extents.push_back(ext);
+        layout.strides.push_back(layout.total);
+        layout.total = checkedMul(layout.total,
+                                  ext + 2 * ArrayLayout::haloElems);
+    }
+    constexpr std::int64_t max_elems = std::int64_t(1) << 26;
+    if (layout.total > max_elems) {
+        fatal("array '", decl.name, "' needs ", layout.total,
+              " elements (halo included); the interpreter caps arrays "
+              "at ", max_elems, " elements");
+    }
+    return layout;
+}
+
+std::optional<LoopRanges>
+loopRanges(const Program &program, const LoopNest &nest)
+{
+    LoopRanges ranges;
+    for (const Loop &loop : nest.loops()) {
+        try {
+            ranges.emplace_back(
+                loop.lower.evaluate(program.paramDefaults()),
+                loop.upper.evaluate(program.paramDefaults()));
+        } catch (const FatalError &) {
+            return std::nullopt;
+        }
+    }
+    return ranges;
+}
+
+RefDeclaration
+refDeclaration(const Program &program, const LoopNest &nest,
+               const ArrayRef &ref)
+{
+    RefDeclaration facts;
+    for (const ArrayDecl &decl : program.arrays()) {
+        if (decl.name == ref.array()) {
+            facts.decl = &decl;
+            break;
+        }
+    }
+    if (facts.decl) {
+        facts.rankMatches = facts.decl->extents.size() == ref.dims();
+        facts.depthMatches = ref.depth() == nest.depth();
+    }
+    return facts;
+}
+
+std::optional<ReachEscape>
+reachEscape(const ArrayDecl &decl, const ArrayRef &ref,
+            const LoopRanges &ranges, const ParamBindings &params)
+{
+    for (const auto &[lo, hi] : ranges) {
+        if (hi < lo)
+            return std::nullopt;
+    }
+    const std::int64_t halo = ArrayLayout::haloElems;
+    for (std::size_t d = 0; d < ref.dims(); ++d) {
+        std::int64_t extent;
+        try {
+            extent = decl.extents[d].evaluate(params);
+        } catch (const FatalError &) {
+            return std::nullopt;
+        }
+        std::int64_t min = ref.offset()[d];
+        std::int64_t max = ref.offset()[d];
+        for (std::size_t k = 0; k < ranges.size(); ++k) {
+            std::int64_t coeff = ref.row(d)[k];
+            min += coeff * (coeff >= 0 ? ranges[k].first
+                                       : ranges[k].second);
+            max += coeff * (coeff >= 0 ? ranges[k].second
+                                       : ranges[k].first);
+        }
+        if (min < 1 - halo || max > extent + halo)
+            return ReachEscape{d, min, max, extent};
+    }
+    return std::nullopt;
+}
+
+void
+forEachIvMisuse(
+    const LoopNest &nest, const Stmt &stmt,
+    const std::function<void(IvMisuse, const std::string &)> &visit)
+{
+    if (stmt.isPrefetch())
+        return;
+    auto is_iv = [&nest](const std::string &name) {
+        for (const Loop &loop : nest.loops()) {
+            if (loop.iv == name)
+                return true;
+        }
+        return false;
+    };
+    if (!stmt.lhsIsArray() && is_iv(stmt.lhsScalar()))
+        visit(IvMisuse::Assign, stmt.lhsScalar());
+    forEachScalarRead(stmt.rhs(), [&](const std::string &name) {
+        if (is_iv(name))
+            visit(IvMisuse::Read, name);
+    });
 }
 
 } // namespace ujam

@@ -32,11 +32,10 @@ partitionByRelation(const UniformlyGeneratedSet &ugs,
     std::vector<ReuseGroup> groups;
     std::map<RatVector, std::size_t> group_of;
     for (std::size_t i = 0; i < ugs.members.size(); ++i) {
-        IntVector offset = ugs.members[i].ref.offset();
-        if (spatial && !offset.empty())
-            offset[0] = 0;
-        auto [it, fresh] =
-            group_of.try_emplace(left_null.apply(offset), groups.size());
+        const ArrayRef &ref = ugs.members[i].ref;
+        auto [it, fresh] = group_of.try_emplace(
+            left_null.apply(spatial ? ref.spatialOffset() : ref.offset()),
+            groups.size());
         if (fresh)
             groups.emplace_back();
         groups[it->second].members.push_back(i);

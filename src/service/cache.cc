@@ -105,7 +105,6 @@ renderConfig(std::ostringstream &os, const PipelineConfig &config)
 
     os << "lint.mode = " << lintModeName(config.lint) << "\n"
        << "lint.maxUnroll = " << config.lintOptions.maxUnroll << "\n"
-       << "lint.haloElems = " << config.lintOptions.haloElems << "\n"
        << "lint.minSeverity = "
        << lintSeverityName(config.lintOptions.minSeverity) << "\n";
 
@@ -136,15 +135,17 @@ canonicalRequestText(const std::string &op, const Program &program,
                      const TuneConfig &tune)
 {
     std::ostringstream os;
-    // v5: the program text keeps every digit of a non-integral
-    // constant (v4 printed six significant digits, so programs that
-    // differed past them shared a key and one could be answered with
-    // the other's result). v4 added the autotuner's search/budget
-    // fields and the optimizer's forced unroll vector, v3 the
-    // symbolic-analysis fields. The header is part of the hashed
-    // bytes, so a version bump invalidates every persisted v1-v4
-    // entry wholesale.
-    os << "ujam-serve-cache-v5\n";
+    // v6: codegen comments print each statement with the IR printer
+    // (every digit of a constant, integral ones as N.0), and the lint
+    // halo line is gone with its knob. v5 kept every digit of a
+    // non-integral constant in the program text (v4 printed six
+    // significant digits, so programs that differed past them shared
+    // a key and one could be answered with the other's result). v4
+    // added the autotuner's search/budget fields and the optimizer's
+    // forced unroll vector, v3 the symbolic-analysis fields. The
+    // header is part of the hashed bytes, so a version bump
+    // invalidates every persisted v1-v5 entry wholesale.
+    os << "ujam-serve-cache-v6\n";
     os << "op = " << op << "\n";
     renderMachine(os, machine);
     renderConfig(os, config);

@@ -60,13 +60,6 @@ CacheSim::flush()
         way.valid = false;
 }
 
-void
-CacheSim::resetStats()
-{
-    accesses_ = 0;
-    misses_ = 0;
-}
-
 double
 CacheSim::missRatio() const
 {

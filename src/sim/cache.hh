@@ -47,9 +47,6 @@ class CacheSim
     /** Invalidate everything and keep statistics. */
     void flush();
 
-    /** Reset statistics (contents keep). */
-    void resetStats();
-
     std::uint64_t accesses() const { return accesses_; }
     std::uint64_t misses() const { return misses_; }
 

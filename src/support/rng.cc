@@ -83,23 +83,4 @@ Rng::deriveStream(std::uint64_t seed, std::uint64_t stream)
     return splitMix64(sm) ^ mixed;
 }
 
-std::size_t
-Rng::weighted(const std::vector<double> &weights)
-{
-    double total = 0.0;
-    for (double w : weights) {
-        UJAM_ASSERT(w >= 0.0, "negative weight");
-        total += w;
-    }
-    UJAM_ASSERT(total > 0.0, "all weights zero");
-    double target = uniform() * total;
-    double running = 0.0;
-    for (std::size_t i = 0; i < weights.size(); ++i) {
-        running += weights[i];
-        if (target < running)
-            return i;
-    }
-    return weights.size() - 1;
-}
-
 } // namespace ujam

@@ -41,13 +41,6 @@ class Rng
     bool chance(double p);
 
     /**
-     * Pick an index according to non-negative weights.
-     * @param weights Relative weights; at least one must be positive.
-     * @return Index in [0, weights.size()).
-     */
-    std::size_t weighted(const std::vector<double> &weights);
-
-    /**
      * Derive the seed of an independent stream from a master seed.
      *
      * Deterministic mixing (SplitMix64 over seed and stream index), so

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "ir/interp.hh"
+#include "ir/validate.hh"
 #include "reuse/group_reuse.hh"
 #include "reuse/locality.hh"
 #include "support/diagnostics.hh"
@@ -39,7 +39,7 @@ insertPrefetches(const LoopNest &nest, const PrefetchConfig &config)
         std::int64_t distance = config.distanceIters;
         if (dim >= 0 && coeff != 0) {
             std::int64_t reach =
-                Interpreter::haloElems / std::max<std::int64_t>(
+                ArrayLayout::haloElems / std::max<std::int64_t>(
                                              1, std::llabs(coeff));
             distance = std::min(distance, reach);
         }

@@ -202,6 +202,14 @@ tuneNest(const Program &program, const LoopNest &nest,
     if (model_run.outcomes.empty())
         return out;
     UnrollDecision decision = model_run.outcomes.front().decision;
+    // The model run doubles as the "model" candidate's forced run when
+    // its decision has the nest's depth (a committed unroll stage or a
+    // strict-lint skip) and one piece. After a rolled-back unroll stage
+    // the forced zero vector carries predicted numbers the empty
+    // decision lacks; with several distributed pieces the forced run
+    // unrolls each by the last piece's vector.
+    bool reuse_model_run = decision.unroll.size() == nest.depth() &&
+                           model_run.outcomes.front().pieces == 1;
     // A contained unroll-stage fault (e.g. coupled subscripts the
     // tables cannot rank) leaves the decision's vectors empty;
     // normalize to all-zero at nest depth so every IntVector
@@ -246,15 +254,20 @@ tuneNest(const Program &program, const LoopNest &nest,
         cand.unroll = seed.u;
         cand.source = seed.source;
 
-        PipelineConfig forced = config.pipeline;
-        forced.optimizer.forceUnroll = seed.u;
         PipelineResult run;
-        try {
-            run = optimizeProgram(solo, machine, forced);
-        } catch (const FatalError &err) {
-            cand.note = err.what();
-            out.candidates.push_back(std::move(cand));
-            continue;
+        if (reuse_model_run) {
+            run = std::move(model_run); // the "model" seed comes first
+            reuse_model_run = false;
+        } else {
+            PipelineConfig forced = config.pipeline;
+            forced.optimizer.forceUnroll = seed.u;
+            try {
+                run = optimizeProgram(solo, machine, forced);
+            } catch (const FatalError &err) {
+                cand.note = err.what();
+                out.candidates.push_back(std::move(cand));
+                continue;
+            }
         }
         if (run.outcomes.empty())
             continue;

@@ -6,6 +6,7 @@
  * already carry an error finding, purely statically.
  */
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <map>
@@ -17,13 +18,16 @@
 #include "analysis/findings_baseline.hh"
 #include "analysis/linter.hh"
 #include "analysis/render.hh"
+#include "core/optimizer.hh"
 #include "driver/driver.hh"
 #include "ir/builder.hh"
+#include "ir/printer.hh"
 #include "ir/validate.hh"
 #include "parser/parser.hh"
 #include "report/report.hh"
 #include "scenarios/sweep.hh"
 #include "support/diagnostics.hh"
+#include "transform/unroll_and_jam.hh"
 #include "workloads/corpus.hh"
 #include "workloads/suite.hh"
 
@@ -367,6 +371,248 @@ defaultSweepPrograms()
         }
     }
     return programs;
+}
+
+// --- the error rules predict the validator, reference by reference --
+
+/** The two kinds of problem the rules predict for the validator. */
+enum class Guard
+{
+    DeclReach, //!< UJ003 and UJ009
+    Iv         //!< UJ013
+};
+
+/**
+ * @return The words of a declaration, reach or induction-variable
+ * problem that the validator and the rules share (each wraps them in
+ * its own prefix and explanation), or "" for any other message.
+ */
+std::string
+guardCore(std::string text, Guard guard)
+{
+    std::size_t where = text.find("body: ");
+    if (where != std::string::npos)
+        text.erase(0, where + 6);
+    auto starts = [&](const char *prefix) {
+        return text.rfind(prefix, 0) == 0;
+    };
+    if (guard == Guard::Iv) {
+        if (!starts("assignment to scalar '") && !starts("scalar read of '"))
+            return "";
+        return text.substr(0, text.find(" ("));
+    }
+    std::size_t dim = text.find("dimension ");
+    if (dim != std::string::npos)
+        return text.substr(dim, text.find(';') - dim);
+    if (starts("reference to undeclared"))
+        text.erase(0, 13);
+    bool declaration = starts("undeclared array '") ||
+                       text.find("' has rank ") != std::string::npos ||
+                       text.find("' has subscript depth ") !=
+                           std::string::npos;
+    return declaration ? text : "";
+}
+
+/** @return The shared words of each message that has them, in order. */
+std::vector<std::string>
+guardCores(const std::vector<std::string> &messages, Guard guard)
+{
+    std::vector<std::string> out;
+    for (const std::string &message : messages) {
+        std::string core = guardCore(message, guard);
+        if (!core.empty())
+            out.push_back(std::move(core));
+    }
+    return out;
+}
+
+/** @return The sorted distinct entries of cores. */
+std::vector<std::string>
+distinct(std::vector<std::string> cores)
+{
+    std::sort(cores.begin(), cores.end());
+    cores.erase(std::unique(cores.begin(), cores.end()), cores.end());
+    return cores;
+}
+
+/** Messages of UJ003, UJ009 and UJ013 on one nest of program. */
+std::vector<std::string>
+guardFindings(const Program &program, const LoopNest &nest)
+{
+    const MachineModel machine = alpha();
+    const LintOptions options;
+    RuleContext ctx(program, nest, 0, machine, options);
+    std::vector<LintDiagnostic> findings;
+    for (const auto &rule : lintRules()) {
+        const std::string id = rule->id();
+        if (id == "UJ003" || id == "UJ009" || id == "UJ013")
+            rule->check(ctx, findings);
+    }
+    std::vector<std::string> messages;
+    for (const LintDiagnostic &diag : findings)
+        messages.push_back(diag.message);
+    return messages;
+}
+
+/** What the contract checks saw, by kind of validator problem. */
+struct GuardCounts
+{
+    std::size_t refs = 0;  //!< distinct body references probed
+    std::size_t stmts = 0; //!< body statements probed
+    std::map<std::string, std::size_t> problems; //!< by first word
+};
+
+/**
+ * The rules' contract on one nest, whose loops and declarations come
+ * from program: each distinct body reference, alone in a nest with the
+ * same loops, draws the declaration and reach findings the strict
+ * validator reports for it, word for word; each body statement alone
+ * draws the induction-variable findings the validator reports, in
+ * order; and on the whole nest the distinct problems agree.
+ */
+void
+expectRulesPredictValidator(const Program &program, const LoopNest &nest,
+                            const std::string &label, GuardCounts &counts)
+{
+    auto compare = [&](const LoopNest &subject, Guard guard, bool as_set,
+                       const std::string &what) {
+        std::vector<std::string> expected =
+            guardCores(validateNestStrict(program, subject), guard);
+        std::vector<std::string> found =
+            guardCores(guardFindings(program, subject), guard);
+        if (as_set) {
+            expected = distinct(std::move(expected));
+            found = distinct(std::move(found));
+        }
+        EXPECT_EQ(found, expected) << label << ": " << what;
+        for (const std::string &problem : expected)
+            ++counts.problems[problem.substr(0, problem.find(' '))];
+    };
+
+    std::set<std::string> probed;
+    for (const Access &access : nest.accesses()) {
+        const ArrayRef &ref = access.ref;
+        if (!probed.insert(ref.array() + "#" + ref.toString()).second)
+            continue;
+        ++counts.refs;
+        LoopNest probe(nest.loops(),
+                       {Stmt::assignScalar("probe", Expr::arrayRead(ref))});
+        compare(probe, Guard::DeclReach, false,
+                "reference " + ref.toString(nest.ivNames()));
+    }
+    for (const Stmt &stmt : nest.body()) {
+        ++counts.stmts;
+        compare(LoopNest(nest.loops(), {stmt}), Guard::Iv, false,
+                "statement " + renderStmt(stmt, nest.ivNames()));
+    }
+    compare(nest, Guard::DeclReach, true, "whole nest");
+    compare(nest, Guard::Iv, false, "whole nest");
+}
+
+TEST(LintRules, GuardsPredictTheValidatorReferenceByReference)
+{
+    const MachineModel machine = alpha();
+    GuardCounts counts;
+    std::size_t unrolled = 0;
+
+    // Every suite loop and default-manifest scenario, as written and
+    // unroll-and-jammed at (1,1), (2,3) and (3,3) on its two
+    // outermost loops, clamped to the safety bounds: the unrolled
+    // copies reach into the halo and past it.
+    std::vector<Program> programs;
+    for (const SuiteLoop &loop : testSuite())
+        programs.push_back(loadSuiteProgram(loop));
+    for (Program &program : defaultSweepPrograms())
+        programs.push_back(std::move(program));
+    const std::vector<std::vector<std::int64_t>> vectors = {
+        {1, 1}, {2, 3}, {3, 3}};
+    for (const Program &program : programs) {
+        OptimizerConfig config;
+        config.params = program.paramDefaults();
+        for (const LoopNest &nest : program.nests()) {
+            const std::string label =
+                program.sourceName() + " " + nest.name();
+            expectRulesPredictValidator(program, nest, label, counts);
+            if (nest.depth() < 2 || !nest.allRefsAnalyzable())
+                continue;
+            const IntVector bounds =
+                unrollProblem(nest, machine, config).safetyBounds;
+            for (const std::vector<std::int64_t> &vec : vectors) {
+                IntVector u(nest.depth());
+                for (std::size_t k = 0; k < 2 && k + 1 < nest.depth(); ++k)
+                    u[k] = std::min(vec[k], bounds[k]);
+                if (u.isZero())
+                    continue;
+                for (const LoopNest &piece : unrollAndJamNest(nest, u)) {
+                    expectRulesPredictValidator(
+                        program, piece, label + " at " + u.toString(),
+                        counts);
+                    ++unrolled;
+                }
+            }
+        }
+    }
+
+    // Hand-built nests with each problem the rules must predict.
+    const std::string decls = "param n = 8\n"
+                              "real a(n, n)\n"
+                              "real b(n)\n";
+    const char *bodies[] = {
+        "    a(i, j) = c(i, j) + 1.0\n",                   // undeclared
+        "    a(i, j) = b(i, j) + a(i) * 3.0\n",            // rank
+        "    a(i, j) = a(i + 20, j) + a(i, j - 9)\n"       // reach
+        "    a(i - 7, j) = a(i + 8, j) + a(i + 9, j + 1)\n",
+        "    a(i, j) = i + 1.0\n"                          // names an iv
+        "    j = a(i, j) * 2.0\n",
+    };
+    // Offsets -10..10 straddle both edges of extent 8 plus halo 8.
+    std::string edges;
+    for (int off = -10; off <= 10; ++off) {
+        std::string shift = off == 0  ? ""
+                            : off > 0 ? concat(" + ", off)
+                                      : concat(" - ", -off);
+        edges += concat("    a(i, j) = a(i", shift, ", j", shift, ")\n");
+    }
+    std::vector<std::string> hand_built(std::begin(bodies),
+                                        std::end(bodies));
+    hand_built.push_back(edges);
+    for (const std::string &body : hand_built) {
+        Program program = parseProgram(decls + "do i = 1, n\n"
+                                               "  do j = 1, n\n" +
+                                           body + "  end do\nend do\n",
+                                       "<hand-built>");
+        expectRulesPredictValidator(program, program.nests()[0], body,
+                                    counts);
+    }
+    // A zero-trip loop accesses nothing: no reach problem either side.
+    Program empty = parseProgram(decls + "do i = 5, 1\n  do j = 1, n\n"
+                                         "    a(i + 30, j) = 1.0\n"
+                                         "  end do\nend do\n",
+                                 "<zero-trip>");
+    expectRulesPredictValidator(empty, empty.nests()[0], "zero-trip",
+                                counts);
+    // A subscript depth the parser never produces: a(i, j) indexed
+    // with three loop columns in a depth-2 nest.
+    Program deep = parseProgram(decls, "<depth>");
+    ArrayRef lhs("a", {IntVector{1, 0}, IntVector{0, 1}}, IntVector{0, 0});
+    ArrayRef wide("a", {IntVector{1, 0, 0}, IntVector{0, 1, 0}},
+                  IntVector{0, 0});
+    LoopNest mismatched(
+        {Loop{"i", Bound::constant(1), Bound::constant(8)},
+         Loop{"j", Bound::constant(1), Bound::constant(8)}},
+        {Stmt::assignArray(lhs, Expr::arrayRead(wide))});
+    expectRulesPredictValidator(deep, mismatched, "depth", counts);
+
+    // The inputs must reach every guard.
+    EXPECT_GE(programs.size(), 70u);
+    EXPECT_GE(unrolled, 150u);
+    EXPECT_GT(counts.refs, 1000u);
+    EXPECT_GT(counts.problems["undeclared"], 0u);
+    EXPECT_GT(counts.problems["array"], 0u);     // rank
+    EXPECT_GT(counts.problems["reference"], 0u); // depth
+    EXPECT_GT(counts.problems["dimension"], 10u);
+    EXPECT_GT(counts.problems["assignment"], 0u);
+    EXPECT_GT(counts.problems["scalar"], 0u);
 }
 
 TEST(LintRules, RegisterPressureNote)

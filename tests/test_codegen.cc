@@ -375,6 +375,31 @@ TEST(ServiceCodegen, ReturnsBothVariants)
               "ujam_run");
 }
 
+TEST(ServiceCodegen, CommentsPrintEveryDigitOfAConstant)
+{
+    // The comment above each emitted statement is the IR printer's
+    // rendering of it: constants keep every digit (integral ones read
+    // N.0) instead of six significant digits.
+    UjamServer server({});
+    std::string out = batch(
+        server, "{\"op\": \"codegen\", \"source\": \"param n = 8\\n"
+                "real a(n, n)\\nreal b(n, n)\\ndo j = 1, n\\n"
+                "  do i = 1, n\\n    a(i, j) = b(i, j) * 0.1234567 + 2.0"
+                "\\n  end do\\nend do\\n\"}\n");
+    JsonParseResult parsed = parseJson(out.substr(0, out.find('\n')));
+    ASSERT_TRUE(parsed.ok()) << parsed.error;
+    const JsonValue *result = parsed.value->find("result");
+    ASSERT_NE(result, nullptr) << out;
+    for (const char *field : {"original_c", "transformed_c"}) {
+        const std::string &source = result->find(field)->stringValue;
+        EXPECT_NE(source.find(
+                      "/* a(i, j) = ((b(i, j) * 0.1234567) + 2.0) */"),
+                  std::string::npos)
+            << field << ":\n" << source;
+        EXPECT_EQ(source.find("0.123457"), std::string::npos) << field;
+    }
+}
+
 TEST(ServiceCodegen, HitIsByteIdenticalToMiss)
 {
     // One batch thread: the second line starts after the first has
@@ -431,7 +456,7 @@ TEST(ServiceCodegen, EmissionOptionsAreSemanticInTheKey)
     // what invalidates persisted entries across format changes.
     std::string text = canonicalRequestText("codegen", program,
                                             machine, config, base);
-    EXPECT_EQ(text.rfind("ujam-serve-cache-v5\n", 0), 0u);
+    EXPECT_EQ(text.rfind("ujam-serve-cache-v6\n", 0), 0u);
     EXPECT_NE(text.find("codegen.seed = "), std::string::npos);
     // The autotuner's knobs are part of the text too.
     EXPECT_NE(text.find("tune.budgetMs = "), std::string::npos);

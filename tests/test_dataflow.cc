@@ -204,7 +204,7 @@ TEST(NestDataflowFacts, LoopValuesTripAndStride)
                             "  end do\n"
                             "end do\n");
     NestDataflow df(program, program.nests()[0],
-                    program.paramDefaults(), 8);
+                    program.paramDefaults());
     ASSERT_EQ(df.loops().size(), 2u);
 
     const LoopDataflow &j = df.loops()[0];
@@ -223,7 +223,6 @@ TEST(NestDataflowFacts, LoopValuesTripAndStride)
     EXPECT_EQ(i.trip, Interval::point(9));
 
     EXPECT_FALSE(df.provablyEmpty());
-    EXPECT_TRUE(df.allInBounds());
     EXPECT_TRUE(df.allInHalo());
 }
 
@@ -238,7 +237,7 @@ TEST(NestDataflowFacts, AccessFactsAndInnerStride)
                             "  end do\n"
                             "end do\n");
     const LoopNest &nest = program.nests()[0];
-    NestDataflow df(program, nest, program.paramDefaults(), 8);
+    NestDataflow df(program, nest, program.paramDefaults());
     ASSERT_EQ(df.accesses().size(), nest.accesses().size());
 
     // Find the a(i, j-1) read.
@@ -273,7 +272,7 @@ TEST(NestDataflowFacts, EmptyAndSingleTripLoops)
                             "  end do\n"
                             "end do\n");
     NestDataflow df(program, program.nests()[0],
-                    program.paramDefaults(), 8);
+                    program.paramDefaults());
     EXPECT_TRUE(df.loops()[0].provablySingle());
     EXPECT_TRUE(df.loops()[1].provablyEmpty());
     EXPECT_TRUE(df.provablyEmpty());
@@ -293,7 +292,7 @@ TEST(NestDataflowFacts, UnboundParameterWidensToTop)
     nest.loop(0).upper = Bound::param("m");
     program.addNest(nest);
 
-    NestDataflow df(program, nest, program.paramDefaults(), 8);
+    NestDataflow df(program, nest, program.paramDefaults());
     EXPECT_FALSE(df.loops()[0].values.bounded());
     EXPECT_TRUE(df.loops()[0].values.hasLo); // lower bound still known
     // i's subscript interval is unbounded, so no certificate...
@@ -313,7 +312,7 @@ TEST(NestDataflowFacts, UnrolledDimRangeGrowsForward)
                             "  end do\n"
                             "end do\n");
     const LoopNest &nest = program.nests()[0];
-    NestDataflow df(program, nest, program.paramDefaults(), 8);
+    NestDataflow df(program, nest, program.paramDefaults());
     // Execution order: the a(i + 2, j) read precedes the write.
     std::vector<Access> accesses = nest.accesses();
     ASSERT_EQ(accesses[0].ref.array(), "a");
@@ -349,8 +348,7 @@ expectSoundOn(const Program &program, const ParamBindings &overrides,
     // Hull the abstract ranges per array dimension over every nest.
     std::map<std::string, std::vector<Interval>> abstract;
     for (const LoopNest &nest : program.nests()) {
-        NestDataflow df(program, nest, interp.params(),
-                        Interpreter::haloElems);
+        NestDataflow df(program, nest, interp.params());
         auto fold = [&](const AccessDataflow &ad) {
             auto [it, fresh] = abstract.try_emplace(ad.array);
             if (fresh)

@@ -147,7 +147,6 @@ end do
     EXPECT_EQ(edge.distance, (IntVector{1, 0}));
     EXPECT_EQ(edge.dirs[0], DepDir::Lt);
     EXPECT_EQ(edge.dirs[1], DepDir::Eq);
-    EXPECT_EQ(edge.carrierLevel(), 0);
 }
 
 TEST(Analyzer, InputDependencesCountedAndSkippable)
@@ -164,7 +163,6 @@ end do
     // three input edges; 'a' has no dependence.
     EXPECT_EQ(with_input.size(), 3u);
     EXPECT_EQ(with_input.inputCount(), 3u);
-    EXPECT_DOUBLE_EQ(with_input.inputFraction(), 1.0);
 
     DepOptions no_input;
     no_input.includeInput = false;

@@ -199,22 +199,6 @@ TEST(Rng, ChanceExtremes)
     EXPECT_TRUE(rng.chance(1.0));
 }
 
-TEST(Rng, WeightedRespectsZeroWeights)
-{
-    Rng rng(11);
-    for (int i = 0; i < 200; ++i)
-        EXPECT_EQ(rng.weighted({0.0, 1.0, 0.0}), 1u);
-}
-
-TEST(Rng, WeightedDistribution)
-{
-    Rng rng(13);
-    int counts[2] = {0, 0};
-    for (int i = 0; i < 10000; ++i)
-        ++counts[rng.weighted({1.0, 3.0})];
-    EXPECT_NEAR(counts[1] / 10000.0, 0.75, 0.03);
-}
-
 TEST(StringUtils, Trim)
 {
     EXPECT_EQ(trim("  hello \t\n"), "hello");
