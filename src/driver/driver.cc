@@ -197,6 +197,11 @@ guardedStage(Stage stage, std::size_t nest_index, const Program &context,
             oracle_config.tolerance = safety.tolerance;
             oracle_config.params = safety.oracleParams;
             kept.resize(std::max<std::size_t>(safety.oracleTrials, 1));
+            // A stage that changed nothing computes what its input
+            // computed: the kept runs are its candidate's runs. They
+            // are still made first, so a reference that cannot be
+            // interpreted rolls the stage back with the same message.
+            const bool unchanged = after == before;
             OracleState runs;
             for (std::size_t t = 0; t < kept.size(); ++t) {
                 if (!kept[t]) {
@@ -204,7 +209,7 @@ guardedStage(Stage stage, std::size_t nest_index, const Program &context,
                         context, before, oracle_config, nest_index, t);
                 }
                 std::string mismatch = kept[t]->failure();
-                if (mismatch.empty()) {
+                if (mismatch.empty() && !unchanged) {
                     runs.push_back(std::make_unique<OracleRun>(
                         context, after, oracle_config, nest_index, t));
                     mismatch = compareOracleRuns(*kept[t], *runs.back(),
@@ -215,7 +220,8 @@ guardedStage(Stage stage, std::size_t nest_index, const Program &context,
                                          mismatch};
                 }
             }
-            kept = std::move(runs);
+            if (!unchanged)
+                kept = std::move(runs);
         }
 
         current = std::move(after);

@@ -1,5 +1,6 @@
 #include "ir/expr.hh"
 
+#include <bit>
 #include <sstream>
 
 #include "support/diagnostics.hh"
@@ -142,6 +143,28 @@ Expr::forEachScalarRead(
         rhs_->forEachScalarRead(fn);
         return;
     }
+}
+
+bool
+Expr::operator==(const Expr &other) const
+{
+    if (this == &other)
+        return true;
+    if (kind_ != other.kind_)
+        return false;
+    switch (kind_) {
+      case Kind::Constant:
+        return std::bit_cast<std::uint64_t>(constant_) ==
+               std::bit_cast<std::uint64_t>(other.constant_);
+      case Kind::Scalar:
+        return scalar_ == other.scalar_;
+      case Kind::ArrayRead:
+        return ref_ == other.ref_;
+      case Kind::Binary:
+        return op_ == other.op_ && *lhs_ == *other.lhs_ &&
+               *rhs_ == *other.rhs_;
+    }
+    return false;
 }
 
 ExprPtr

@@ -92,6 +92,14 @@ class Expr
     /** @return Source rendering, fully parenthesized at binaries. */
     std::string toString() const;
 
+    /**
+     * Structural equality: kind, operator, scalar names, references
+     * (ArrayRef's ==, which ignores source locations) and operands,
+     * with constants compared bit for bit, so -0.0 differs from 0.0.
+     * Equal trees compute the same value from the same state.
+     */
+    bool operator==(const Expr &other) const;
+
   private:
     explicit Expr(Kind kind) : kind_(kind) {}
 

@@ -34,7 +34,7 @@ Interpreter::Interpreter(const Program &program,
     std::int64_t next_base = 0;
     for (const ArrayDecl &decl : program.arrays()) {
         ArrayStorage array{arrayLayout(decl, params_), decl.name,
-                           next_base, {}};
+                           next_base, {}, {}};
         array.data.assign(static_cast<std::size_t>(array.total), 0.0);
         next_base += array.total;
 
@@ -77,204 +77,190 @@ Interpreter::storage(const std::string &name) const
     return arrays_[it->second];
 }
 
-Interpreter::ArrayStorage &
-Interpreter::storage(const std::string &name)
+std::size_t
+Interpreter::scalarSlot(const std::string &name)
 {
-    auto it = array_index_.find(name);
-    if (it == array_index_.end())
-        fatal("reference to undeclared array '", name, "'");
-    return arrays_[it->second];
+    auto [it, fresh] = scalar_slots_.try_emplace(name, scalars_.size());
+    if (fresh)
+        scalars_.push_back(0.0);
+    return it->second;
 }
 
-std::int64_t
-Interpreter::flatIndex(const ArrayStorage &array, const ArrayRef &ref) const
+std::size_t
+Interpreter::lowerRef(Lowered &lowered, const ArrayRef &ref)
 {
-    UJAM_ASSERT(ref.dims() == array.extents.size(),
-                "rank mismatch accessing '", array.name, "'");
-    std::int64_t index = 0;
-    for (std::size_t d = 0; d < ref.dims(); ++d) {
-        std::int64_t sub = ref.offset()[d];
-        const IntVector &row = ref.row(d);
-        for (std::size_t k = 0; k < row.size(); ++k) {
-            if (row[k] != 0)
-                sub += row[k] * iv_values_[k];
-        }
-        // 1-based subscript with a halo margin on each side.
-        std::int64_t shifted = sub - 1 + ArrayLayout::haloElems;
-        if (shifted < 0 ||
-            shifted >= array.extents[d] + 2 * ArrayLayout::haloElems) {
-            fatal("subscript ", sub, " of dimension ", d + 1,
-                  " of array '", array.name, "' is outside extent ",
-                  array.extents[d], " plus halo");
-        }
-        if (trackRanges_) {
-            auto [it, fresh] = observed_.try_emplace(array.name);
-            if (fresh) {
-                // Inverted sentinels; every dimension is visited by
-                // this very loop, so they never leak out.
-                it->second.assign(
-                    array.extents.size(),
-                    SubscriptRange{
-                        std::numeric_limits<std::int64_t>::max(),
-                        std::numeric_limits<std::int64_t>::min()});
-            }
-            SubscriptRange &range = it->second[d];
-            range.min = std::min(range.min, sub);
-            range.max = std::max(range.max, sub);
-        }
-        index += shifted * array.strides[d];
+    Ref bound{&ref, nullptr, false, lowered.dims.size(),
+              lowered.dims.size()};
+    auto it = array_index_.find(ref.array());
+    if (it != array_index_.end()) {
+        bound.array = &arrays_[it->second];
+        bound.bound = ref.dims() == bound.array->extents.size();
     }
-    return index;
+    if (bound.bound) {
+        for (std::size_t d = 0; d < ref.dims(); ++d) {
+            Dim dim{ref.offset()[d] - 1 + ArrayLayout::haloElems,
+                    bound.array->extents[d] + 2 * ArrayLayout::haloElems,
+                    bound.array->strides[d], lowered.terms.size(), 0};
+            const IntVector &row = ref.row(d);
+            for (std::size_t k = 0; k < row.size(); ++k) {
+                if (row[k] != 0)
+                    lowered.terms.push_back({k, row[k]});
+            }
+            dim.endTerm = lowered.terms.size();
+            lowered.dims.push_back(dim);
+        }
+        bound.endDim = lowered.dims.size();
+    }
+    lowered.refs.push_back(bound);
+    return lowered.refs.size() - 1;
 }
 
-double
-Interpreter::readRef(const ArrayRef &ref)
-{
-    const ArrayStorage &array = storage(ref.array());
-    std::int64_t index = flatIndex(array, ref);
-    ++loads_;
-    if (callback_)
-        callback_(array.base + index, MemAccessKind::Read);
-    return array.data[static_cast<std::size_t>(index)];
-}
-
-void
-Interpreter::writeRef(const ArrayRef &ref, double value)
-{
-    ArrayStorage &array = storage(ref.array());
-    std::int64_t index = flatIndex(array, ref);
-    ++stores_;
-    if (callback_)
-        callback_(array.base + index, MemAccessKind::Write);
-    array.data[static_cast<std::size_t>(index)] = value;
-}
-
-double
-Interpreter::evalExpr(const Expr &expr)
+std::size_t
+Interpreter::lowerExpr(Lowered &lowered, const Expr &expr)
 {
     switch (expr.kind()) {
       case Expr::Kind::Constant:
-        return expr.constantValue();
-      case Expr::Kind::Scalar: {
-        auto it = scalars_.find(expr.scalarName());
-        return it == scalars_.end() ? 0.0 : it->second;
-      }
+        lowered.ops.push_back(
+            {Op::Code::Constant, 0, expr.constantValue()});
+        return 1;
+      case Expr::Kind::Scalar:
+        lowered.ops.push_back(
+            {Op::Code::Scalar, scalarSlot(expr.scalarName()), 0.0});
+        return 1;
       case Expr::Kind::ArrayRead:
-        return readRef(expr.ref());
+        lowered.ops.push_back(
+            {Op::Code::Load, lowerRef(lowered, expr.ref()), 0.0});
+        return 1;
       case Expr::Kind::Binary: {
-        double lhs = evalExpr(*expr.lhs());
-        double rhs = evalExpr(*expr.rhs());
+        // Postfix order: the left operand is evaluated (and loads)
+        // first and ends up below the right one on the stack.
+        std::size_t lhs = lowerExpr(lowered, *expr.lhs());
+        std::size_t rhs = lowerExpr(lowered, *expr.rhs());
+        Op::Code code = Op::Code::Add;
         switch (expr.op()) {
           case BinOp::Add:
-            return lhs + rhs;
+            code = Op::Code::Add;
+            break;
           case BinOp::Sub:
-            return lhs - rhs;
+            code = Op::Code::Sub;
+            break;
           case BinOp::Mul:
-            return lhs * rhs;
+            code = Op::Code::Mul;
+            break;
           case BinOp::Div:
-            return lhs / rhs;
+            code = Op::Code::Div;
+            break;
         }
-        panic("unknown binary operator");
+        lowered.ops.push_back({code, 0, 0.0});
+        return std::max(lhs, rhs + 1);
       }
     }
     panic("unknown expression kind");
 }
 
-void
-Interpreter::execStmt(const Stmt &stmt)
+Interpreter::LoweredStmt
+Interpreter::lowerStmt(Lowered &lowered, const Stmt &stmt)
 {
     if (stmt.isPrefetch()) {
-        // A prefetch of an out-of-range address is dropped silently,
-        // like real non-faulting prefetch instructions.
-        const ArrayStorage &array = storage(stmt.prefetchRef().array());
-        const ArrayRef &ref = stmt.prefetchRef();
-        std::int64_t index = 0;
-        bool in_range = true;
-        for (std::size_t d = 0; d < ref.dims() && in_range; ++d) {
-            std::int64_t sub = ref.offset()[d];
-            for (std::size_t k = 0; k < ref.row(d).size(); ++k) {
-                if (ref.row(d)[k] != 0)
-                    sub += ref.row(d)[k] * iv_values_[k];
-            }
-            std::int64_t shifted = sub - 1 + ArrayLayout::haloElems;
-            if (shifted < 0 ||
-                shifted >=
-                    array.extents[d] + 2 * ArrayLayout::haloElems) {
-                in_range = false;
-            } else {
-                index += shifted * array.strides[d];
-            }
-        }
-        ++prefetches_;
-        if (in_range && callback_)
-            callback_(array.base + index, MemAccessKind::Prefetch);
-        return;
+        return {LoweredStmt::Kind::Prefetch, 0, 0,
+                lowerRef(lowered, stmt.prefetchRef())};
     }
-    double value = evalExpr(*stmt.rhs());
-    if (stmt.lhsIsArray())
-        writeRef(stmt.lhsRef(), value);
-    else
-        scalars_[stmt.lhsScalar()] = value;
+    LoweredStmt lowered_stmt{LoweredStmt::Kind::StoreArray,
+                             lowered.ops.size(), 0, 0};
+    std::size_t depth = lowerExpr(lowered, *stmt.rhs());
+    lowered_stmt.endOp = lowered.ops.size();
+    if (lowered.stack.size() < depth)
+        lowered.stack.resize(depth);
+    if (stmt.lhsIsArray()) {
+        lowered_stmt.target = lowerRef(lowered, stmt.lhsRef());
+    } else {
+        lowered_stmt.kind = LoweredStmt::Kind::StoreScalar;
+        lowered_stmt.target = scalarSlot(stmt.lhsScalar());
+    }
+    return lowered_stmt;
+}
+
+Interpreter::Lowered
+Interpreter::lower(const LoopNest &nest)
+{
+    Lowered lowered;
+    for (const Loop &loop : nest.loops())
+        lowered.loops.push_back({&loop});
+    for (const Stmt &stmt : nest.preheader())
+        lowered.preheader.push_back(lowerStmt(lowered, stmt));
+    for (const Stmt &stmt : nest.body())
+        lowered.body.push_back(lowerStmt(lowered, stmt));
+    for (const Stmt &stmt : nest.postheader())
+        lowered.postheader.push_back(lowerStmt(lowered, stmt));
+
+    // Every induction variable a term reads, the nest's own and any
+    // a malformed reference names past them, starts at 0.
+    std::size_t levels = nest.depth();
+    for (const Term &term : lowered.terms)
+        levels = std::max(levels, term.level + 1);
+    ivs_.assign(levels, 0);
+    return lowered;
 }
 
 void
-Interpreter::execLoops(const LoopNest &nest, std::size_t level)
+Interpreter::enterLoop(LoweredLoop &entry) const
 {
-    if (level == nest.depth()) {
-        ++iterations_;
-        for (const Stmt &stmt : nest.body())
-            execStmt(stmt);
-        return;
-    }
-    const Loop &loop = nest.loop(level);
+    const Loop &loop = *entry.source;
     if (loop.step < 1) {
         fatal("loop '", loop.iv, "' has step ", loop.step,
               "; interpretation would not terminate");
     }
-    std::int64_t lo = loop.lower.evaluate(params_);
-    std::int64_t hi = loop.upper.evaluate(params_);
-    bool innermost = (level + 1 == nest.depth());
-    // On entering the innermost loop, run the preheader once (per
-    // surrounding outer iteration) with the innermost induction
-    // variable at its lower bound.
-    if (innermost && !nest.preheader().empty() && lo <= hi) {
-        iv_values_[level] = lo;
-        for (const Stmt &stmt : nest.preheader()) {
-            execStmt(stmt);
-            ++header_stmts_;
-        }
+    entry.lo = loop.lower.evaluate(params_);
+    entry.hi = loop.upper.evaluate(params_);
+    entry.entered = true;
+}
+
+void
+Interpreter::failAccess(const Ref &bound) const
+{
+    const ArrayRef &ref = *bound.source;
+    if (!bound.array)
+        fatal("reference to undeclared array '", ref.array(), "'");
+    const ArrayStorage &array = *bound.array;
+    UJAM_ASSERT(ref.dims() == array.extents.size(),
+                "rank mismatch accessing '", array.name, "'");
+    panic("reference to '", array.name, "' left unbound");
+}
+
+void
+Interpreter::outsideHalo(const Ref &ref, std::size_t dim,
+                         std::int64_t shifted) const
+{
+    const ArrayStorage &array = *ref.array;
+    fatal("subscript ", shifted + 1 - ArrayLayout::haloElems,
+          " of dimension ", dim + 1, " of array '", array.name,
+          "' is outside extent ", array.extents[dim], " plus halo");
+}
+
+void
+Interpreter::observe(const Ref &ref, std::size_t dim, std::int64_t shifted)
+{
+    std::vector<SubscriptRange> &ranges = ref.array->observed;
+    if (ranges.empty()) {
+        // Inverted sentinels; every dimension is visited by the very
+        // access that creates them.
+        ranges.assign(ref.array->extents.size(),
+                      SubscriptRange{std::numeric_limits<std::int64_t>::max(),
+                                     std::numeric_limits<std::int64_t>::min()});
     }
-    std::int64_t last = lo;
-    for (std::int64_t v = lo; v <= hi; v += loop.step) {
-        iv_values_[level] = v;
-        last = v;
-        execLoops(nest, level + 1);
-    }
-    // The postheader runs after the innermost loop completed at least
-    // one iteration, with its induction variable at the last value.
-    if (innermost && !nest.postheader().empty() && lo <= hi) {
-        iv_values_[level] = last;
-        for (const Stmt &stmt : nest.postheader()) {
-            execStmt(stmt);
-            ++header_stmts_;
-        }
-    }
+    std::int64_t sub = shifted + 1 - ArrayLayout::haloElems;
+    ranges[dim].min = std::min(ranges[dim].min, sub);
+    ranges[dim].max = std::max(ranges[dim].max, sub);
 }
 
 void
 Interpreter::runNest(const LoopNest &nest)
 {
-    iv_values_.assign(nest.depth(), 0);
-    if (nest.depth() == 0) {
-        for (const Stmt &stmt : nest.preheader())
-            execStmt(stmt);
-        for (const Stmt &stmt : nest.body())
-            execStmt(stmt);
-        for (const Stmt &stmt : nest.postheader())
-            execStmt(stmt);
-        return;
+    if (callback_) {
+        runNest(nest, callback_);
+    } else {
+        runNest(nest, [](std::int64_t, MemAccessKind) {});
     }
-    execLoops(nest, 0);
 }
 
 void
@@ -307,8 +293,19 @@ Interpreter::element(const std::string &name,
 double
 Interpreter::scalar(const std::string &name) const
 {
-    auto it = scalars_.find(name);
-    return it == scalars_.end() ? 0.0 : it->second;
+    auto it = scalar_slots_.find(name);
+    return it == scalar_slots_.end() ? 0.0 : scalars_[it->second];
+}
+
+std::map<std::string, std::vector<Interpreter::SubscriptRange>>
+Interpreter::observedSubscriptRanges() const
+{
+    std::map<std::string, std::vector<SubscriptRange>> ranges;
+    for (const ArrayStorage &array : arrays_) {
+        if (!array.observed.empty())
+            ranges.emplace(array.name, array.observed);
+    }
+    return ranges;
 }
 
 std::string
@@ -326,8 +323,18 @@ Interpreter::compareArrays(const Interpreter &other, double rel_tol) const
         for (std::size_t i = 0; i < mine.data.size(); ++i) {
             double x = mine.data[i];
             double y = theirs.data[i];
-            double scale = std::max({std::fabs(x), std::fabs(y), 1.0});
-            if (std::fabs(x - y) > rel_tol * scale) {
+            // An infinity or a NaN would make either side of the
+            // tolerance test NaN or infinite, and so pass against
+            // anything: a non-finite value matches only itself.
+            bool differ;
+            if (std::isfinite(x) && std::isfinite(y)) {
+                double scale =
+                    std::max({std::fabs(x), std::fabs(y), 1.0});
+                differ = std::fabs(x - y) > rel_tol * scale;
+            } else {
+                differ = x != y && !(std::isnan(x) && std::isnan(y));
+            }
+            if (differ) {
                 return concat("array '", mine.name, "' differs at flat ",
                               "index ", i, ": ", x, " vs ", y);
             }

@@ -42,6 +42,14 @@ struct Loop
 
     /** @return Trip count for concrete parameter bindings (>= 0). */
     std::int64_t tripCount(const ParamBindings &params) const;
+
+    /** Structural equality; the source location is ignored. */
+    bool
+    operator==(const Loop &other) const
+    {
+        return iv == other.iv && lower == other.lower &&
+               upper == other.upper && step == other.step;
+    }
 };
 
 /**
@@ -104,6 +112,12 @@ class LoopNest
     /** Human-readable name used in reports. */
     const std::string &name() const { return name_; }
     void setName(std::string name) { name_ = std::move(name); }
+
+    /**
+     * Structural equality of name, loops and statement lists, source
+     * locations ignored: equal nests interpret identically.
+     */
+    bool operator==(const LoopNest &other) const = default;
 
   private:
     std::string name_;

@@ -94,6 +94,18 @@ Stmt::isReduction() const
     return false;
 }
 
+bool
+Stmt::operator==(const Stmt &other) const
+{
+    if (is_prefetch_ != other.is_prefetch_ ||
+        lhs_is_array_ != other.lhs_is_array_ ||
+        !(lhs_ref_ == other.lhs_ref_) || lhs_scalar_ != other.lhs_scalar_)
+        return false;
+    if (!rhs_ || !other.rhs_)
+        return !rhs_ && !other.rhs_;
+    return *rhs_ == *other.rhs_;
+}
+
 std::string
 Stmt::toString() const
 {

@@ -82,6 +82,13 @@ class Stmt
     /** @return Source rendering with placeholder induction names. */
     std::string toString() const;
 
+    /**
+     * Structural equality: kind, destination and right-hand side
+     * (Expr's ==). The source location is ignored, as ArrayRef's ==
+     * ignores it.
+     */
+    bool operator==(const Stmt &other) const;
+
     /** @return The statement's source position (unknown if built). */
     const SourceLoc &loc() const { return loc_; }
     void setLoc(SourceLoc loc) { loc_ = loc; }

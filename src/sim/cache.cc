@@ -1,5 +1,7 @@
 #include "sim/cache.hh"
 
+#include <algorithm>
+
 #include "support/diagnostics.hh"
 
 namespace ujam
@@ -17,7 +19,9 @@ CacheSim::CacheSim(std::int64_t cache_bytes, std::int64_t line_bytes,
                 "capacity must be a whole number of sets");
     sets_ = cache_bytes / (line_bytes * associativity);
     UJAM_ASSERT(sets_ >= 1, "cache with no sets");
-    lines_.resize(static_cast<std::size_t>(sets_ * ways_));
+    tags_.resize(static_cast<std::size_t>(sets_ * ways_));
+    if (ways_ > 1)
+        last_use_.resize(tags_.size());
 }
 
 bool
@@ -30,34 +34,42 @@ CacheSim::access(std::int64_t element_addr, bool write)
     std::int64_t byte_addr = element_addr * element_bytes_;
     std::int64_t line = byte_addr / line_bytes_;
     std::int64_t set = line % sets_;
-    std::int64_t tag = line / sets_;
+    std::int64_t key = line / sets_ + 1;
 
-    Way *begin = &lines_[static_cast<std::size_t>(set * ways_)];
-    Way *victim = begin;
+    std::size_t first = static_cast<std::size_t>(set * ways_);
+    std::int64_t *tags = &tags_[first];
+    if (ways_ == 1) {
+        if (tags[0] == key)
+            return true;
+        ++misses_;
+        tags[0] = key;
+        return false;
+    }
+    // LRU: fill the last empty way, else evict the first least
+    // recently used one.
+    std::uint64_t *last_use = &last_use_[first];
+    std::int64_t victim = 0;
     for (std::int64_t w = 0; w < ways_; ++w) {
-        Way &way = begin[w];
-        if (way.valid && way.tag == tag) {
-            way.lastUse = clock_;
+        if (tags[w] == key) {
+            last_use[w] = clock_;
             return true;
         }
-        if (!way.valid) {
-            victim = &way;
-        } else if (victim->valid && way.lastUse < victim->lastUse) {
-            victim = &way;
+        if (tags[w] == 0) {
+            victim = w;
+        } else if (tags[victim] != 0 && last_use[w] < last_use[victim]) {
+            victim = w;
         }
     }
     ++misses_;
-    victim->valid = true;
-    victim->tag = tag;
-    victim->lastUse = clock_;
+    tags[victim] = key;
+    last_use[victim] = clock_;
     return false;
 }
 
 void
 CacheSim::flush()
 {
-    for (Way &way : lines_)
-        way.valid = false;
+    std::fill(tags_.begin(), tags_.end(), 0);
 }
 
 double

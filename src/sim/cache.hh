@@ -38,7 +38,8 @@ class CacheSim
     /**
      * Access one element.
      *
-     * @param element_addr Element index in the global element space.
+     * @param element_addr Element index in the global element space
+     *                     (non-negative).
      * @param write        True for stores (write-allocate, write-back).
      * @return True on a hit.
      */
@@ -57,18 +58,17 @@ class CacheSim
     std::int64_t sets() const { return sets_; }
 
   private:
-    struct Way
-    {
-        bool valid = false;
-        std::int64_t tag = 0;
-        std::uint64_t lastUse = 0;
-    };
-
     std::int64_t line_bytes_;
     std::int64_t element_bytes_;
     std::int64_t sets_;
     std::int64_t ways_;
-    std::vector<Way> lines_; //!< sets_ x ways_, row-major
+    /**
+     * Per way (sets_ x ways_, row-major): the held line's tag + 1, or
+     * 0 when the way is empty -- so a new cache is one zero fill.
+     */
+    std::vector<std::int64_t> tags_;
+    /** Per way: the clock at its last use; empty when direct-mapped. */
+    std::vector<std::uint64_t> last_use_;
 
     std::uint64_t clock_ = 0;
     std::uint64_t accesses_ = 0;

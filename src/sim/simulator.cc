@@ -23,7 +23,7 @@ simulateProgram(const Program &program, const MachineModel &machine,
     }
     std::uint64_t prefetch_misses = 0; //!< L1 misses from prefetches
     std::uint64_t l2_misses = 0;       //!< demand misses past the L2
-    interp.setAccessCallback([&](std::int64_t addr, MemAccessKind kind) {
+    auto feed = [&](std::int64_t addr, MemAccessKind kind) {
         bool hit = cache.access(addr, kind == MemAccessKind::Write);
         if (hit)
             return;
@@ -32,7 +32,7 @@ simulateProgram(const Program &program, const MachineModel &machine,
             ++prefetch_misses;
         else if (!l2_hit)
             ++l2_misses;
-    });
+    };
 
     for (const LoopNest &nest : program.nests()) {
         std::uint64_t iters_before = interp.iterationCount();
@@ -41,7 +41,7 @@ simulateProgram(const Program &program, const MachineModel &machine,
         std::uint64_t pf_misses_before = prefetch_misses;
         std::uint64_t l2_misses_before = l2_misses;
 
-        interp.runNest(nest);
+        interp.runNest(nest, feed);
 
         std::uint64_t iters =
             interp.iterationCount() - iters_before;

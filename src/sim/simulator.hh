@@ -3,7 +3,9 @@
  * Whole-program execution-time simulation.
  *
  * Drives the reference interpreter over a program with the access
- * stream feeding a cache simulator, and charges cycles per nest:
+ * stream fed straight into a cache simulator (the interpreter's sink
+ * overload of runNest, no callback per access), and charges cycles
+ * per nest:
  * steady-state issue cycles per innermost iteration (pipeline model)
  * plus miss stalls (less what software prefetching can hide). This is
  * the measurement harness behind the Figure 8/9 reproductions.

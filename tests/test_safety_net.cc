@@ -244,6 +244,101 @@ end do
     EXPECT_TRUE(loose.ok) << loose.mismatch;
 }
 
+TEST(Oracle, NonFiniteElementsMatchOnlyThemselves)
+{
+    // An infinity on either side once made the tolerance infinite (NaN
+    // at tolerance 0), and a NaN made the difference NaN: both passed
+    // against any value. Every element of a is +inf, -inf or NaN here.
+    auto program = [](const char *rhs) {
+        return parseProgram(concat(R"(
+param n = 12
+real a(n)
+real b(n)
+real c(n)
+do i = 1, n
+  a(i) = )",
+                                   rhs, "\nend do\n"));
+    };
+    Program sum = program("b(i) + c(i)");
+    Program inf = program("b(i) / (c(i) - c(i))");
+    Program neg_inf = program("(0.0 - b(i)) / (c(i) - c(i))");
+    Program nan = program("(b(i) - b(i)) / (c(i) - c(i))");
+    for (bool bit_exact : {true, false}) {
+        SCOPED_TRACE(bit_exact ? "bit-exact" : "with tolerance");
+        EXPECT_FALSE(verifyPrograms(sum, inf, bit_exact).ok);
+        EXPECT_FALSE(verifyPrograms(sum, nan, bit_exact).ok);
+        EXPECT_FALSE(verifyPrograms(inf, sum, bit_exact).ok);
+        EXPECT_FALSE(verifyPrograms(nan, sum, bit_exact).ok);
+        EXPECT_FALSE(verifyPrograms(inf, neg_inf, bit_exact).ok);
+        EXPECT_FALSE(verifyPrograms(inf, nan, bit_exact).ok);
+        // A non-finite element still matches the same value.
+        EXPECT_TRUE(verifyPrograms(inf, inf, bit_exact).ok);
+        EXPECT_TRUE(verifyPrograms(neg_inf, neg_inf, bit_exact).ok);
+        EXPECT_TRUE(verifyPrograms(nan, nan, bit_exact).ok);
+    }
+    OracleVerdict verdict = verifyPrograms(sum, inf, false);
+    EXPECT_NE(verdict.mismatch.find("vs inf"), std::string::npos)
+        << verdict.mismatch;
+}
+
+TEST(Oracle, StructuralNestEqualityIsExact)
+{
+    // The pipeline skips the candidate run of a stage whose output nest
+    // list == its input, so == must imply identical interpretation.
+    // Source locations do not change what a nest computes: layouts
+    // that move every statement and reference still compare equal.
+    Program tight = parseProgram(R"(
+param n = 12
+real a(n)
+real b(n)
+do i = 1, n
+  a(i) = 1.0 / (b(i) * 0.0)
+end do
+)");
+    Program spread = parseProgram(R"(
+param n = 12
+real a(n)
+
+
+real b(n)
+do   i = 1,   n
+      a(i)   =   1.0 / (b(i)    * 0.0)
+end do
+)");
+    const LoopNest &nest = tight.nests()[0];
+    ASSERT_NE(nest.body()[0].loc(), spread.nests()[0].body()[0].loc());
+    EXPECT_TRUE(nest == spread.nests()[0]);
+    EXPECT_TRUE(tight.nests() == spread.nests());
+
+    // -0.0 and 0.0 compare equal as doubles (and print alike as DSL
+    // text), but 1 / (b * -0.0) is -inf where 1 / (b * 0.0) is +inf.
+    LoopNest negative = nest;
+    const Expr &quotient = *nest.body()[0].rhs();
+    negative.body()[0].setRhs(Expr::binary(
+        BinOp::Div, quotient.lhs(),
+        Expr::binary(BinOp::Mul, quotient.rhs()->lhs(),
+                     Expr::constant(-0.0))));
+    EXPECT_FALSE(nest == negative);
+    OracleVerdict verdict =
+        verifyEquivalence(tight, {nest}, {negative}, /*bitExact=*/true);
+    EXPECT_FALSE(verdict.ok);
+
+    // Every other field takes part: a changed step, bound, name or
+    // statement list makes the nests differ.
+    LoopNest stepped = nest;
+    stepped.loop(0).step = 2;
+    EXPECT_FALSE(nest == stepped);
+    LoopNest bounded = nest;
+    bounded.loop(0).upper = Bound::constant(11);
+    EXPECT_FALSE(nest == bounded);
+    LoopNest renamed = nest;
+    renamed.setName("other");
+    EXPECT_FALSE(nest == renamed);
+    LoopNest headed = nest;
+    headed.preheader().push_back(Stmt::assignScalar("t", Expr::constant(1)));
+    EXPECT_FALSE(nest == headed);
+}
+
 TEST(Oracle, VerdictIsThreadAndCallerIndependent)
 {
     Program program = parseProgram(R"(
@@ -475,6 +570,37 @@ end do
         EXPECT_EQ(contained[s].kind, StageDiagnostic::Kind::Oracle);
         EXPECT_EQ(contained[s].message, expected.mismatch);
     }
+}
+
+TEST(Containment, UnchangedStageStillMeetsTheOracleFault)
+{
+    // Normalize leaves an unstepped nest as it is, so its candidate run
+    // is skipped -- but the corruption FaultKind::Oracle injects makes
+    // the output differ, and the oracle must still reject it.
+    Program program = parseProgram(R"(
+param n = 12
+real a(n)
+real b(n)
+do i = 1, n
+  a(i) = b(i) * 2.0
+end do
+)");
+    PipelineConfig config;
+    config.safety.oracle = true;
+    config.threads = 1;
+    const MachineModel machine = MachineModel::decAlpha21064();
+    PipelineResult clean = optimizeProgram(program, machine, config);
+    EXPECT_EQ(clean.containedFaults(), 0u);
+    EXPECT_FALSE(clean.outcomes[0].normalized);
+
+    config.safety.faults = parseFaultSpecs("normalize:*:oracle");
+    PipelineResult faulted = optimizeProgram(program, machine, config);
+    ASSERT_EQ(faulted.outcomes.size(), 1u);
+    ASSERT_EQ(faulted.outcomes[0].contained.size(), 1u);
+    EXPECT_EQ(faulted.outcomes[0].contained[0].stage, Stage::Normalize);
+    EXPECT_EQ(faulted.outcomes[0].contained[0].kind,
+              StageDiagnostic::Kind::Oracle);
+    EXPECT_EQ(renderProgram(faulted.program), renderProgram(clean.program));
 }
 
 TEST(Containment, UnrollFaultRollsBackByteIdentically)
