@@ -147,6 +147,35 @@ unrollProblem(const LoopNest &nest, const MachineModel &machine,
     return problem;
 }
 
+bool
+UnrollAnalysis::answers(const LoopNest &other, const MachineModel &machine,
+                        const OptimizerConfig &config) const
+{
+    return maxUnroll == config.maxUnroll && maxLoops == config.maxLoops &&
+           depRangePrune == config.depRangePrune &&
+           locality == machineLocality(machine, config) &&
+           params == config.params && nest == other;
+}
+
+std::shared_ptr<const UnrollAnalysis>
+unrollAnalysis(const LoopNest &nest, const MachineModel &machine,
+               const OptimizerConfig &config)
+{
+    if (config.analysis && config.analysis->answers(nest, machine, config))
+        return config.analysis;
+    auto analysis = std::make_shared<UnrollAnalysis>();
+    analysis->nest = nest;
+    analysis->maxUnroll = config.maxUnroll;
+    analysis->maxLoops = config.maxLoops;
+    analysis->depRangePrune = config.depRangePrune;
+    analysis->params = config.params;
+    analysis->locality = machineLocality(machine, config);
+    analysis->problem = unrollProblem(nest, machine, config);
+    analysis->tables = buildNestTables(nest, analysis->problem.space,
+                                       analysis->problem.localized);
+    return analysis;
+}
+
 BalanceResult
 evaluateUnrollVector(const NestTables &tables, const LoopNest &nest,
                      const IntVector &u, const MachineModel &machine,
@@ -229,10 +258,10 @@ chooseUnrollAmounts(const LoopNest &nest, const MachineModel &machine,
 {
     if (nest.depth() < 2)
         return decisionHeader(nest, machine, {});
-    UnrollProblem problem = unrollProblem(nest, machine, config);
-    NestTables tables =
-        buildNestTables(nest, problem.space, problem.localized);
-    return decideUnroll(nest, machine, config, problem, tables);
+    std::shared_ptr<const UnrollAnalysis> analysis =
+        unrollAnalysis(nest, machine, config);
+    return decideUnroll(nest, machine, config, analysis->problem,
+                        analysis->tables);
 }
 
 } // namespace ujam

@@ -14,13 +14,17 @@
  * (truncated to omit input dependences -- they are not needed here,
  * which is the paper's storage win). unrollProblem builds the bounds
  * and the space once per nest; tables over that space then answer
- * every question asked of the nest.
+ * every question asked of the nest. An UnrollAnalysis keeps both,
+ * with the inputs they were built from, so a caller that asks about
+ * the same nest again (the tuner's forced candidates) reads the
+ * tables instead of rebuilding them.
  */
 
 #ifndef UJAM_CORE_OPTIMIZER_HH
 #define UJAM_CORE_OPTIMIZER_HH
 
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 
@@ -30,6 +34,8 @@
 
 namespace ujam
 {
+
+struct UnrollAnalysis;
 
 /** Optimizer knobs. */
 struct OptimizerConfig
@@ -73,6 +79,15 @@ struct OptimizerConfig
      * outermost loops; missing entries are 0.
      */
     std::optional<IntVector> forceUnroll;
+    /**
+     * A finished analysis to answer from instead of building one:
+     * unrollAnalysis returns it when it answers the nest (see
+     * UnrollAnalysis::answers) and builds a new one otherwise, so a
+     * stale or foreign analysis costs a build, never a wrong answer.
+     * The tuner hands its model run's analysis to every forced
+     * candidate this way.
+     */
+    std::shared_ptr<const UnrollAnalysis> analysis;
 };
 
 /** The chosen transformation and its predicted effect. */
@@ -120,6 +135,31 @@ struct UnrollProblem
 };
 
 /**
+ * One nest's unroll problem and tables, with every input they were
+ * built from. Read-only once built, so one analysis answers any
+ * number of decisions (the search, forced vectors) on any thread.
+ */
+struct UnrollAnalysis
+{
+    LoopNest nest;              //!< the nest it was built for
+    std::int64_t maxUnroll = 0; //!< OptimizerConfig::maxUnroll
+    std::size_t maxLoops = 0;   //!< OptimizerConfig::maxLoops
+    bool depRangePrune = false; //!< OptimizerConfig::depRangePrune
+    ParamBindings params;       //!< OptimizerConfig::params
+    LocalityParams locality;    //!< machineLocality at the build
+    UnrollProblem problem;
+    NestTables tables;          //!< built over problem.space
+
+    /**
+     * @return True iff this analysis is the one unrollProblem and
+     * buildNestTables would build for nest on machine under config:
+     * the nest is structurally equal and every input above matches.
+     */
+    bool answers(const LoopNest &nest, const MachineModel &machine,
+                 const OptimizerConfig &config) const;
+};
+
+/**
  * @return The Eq. 1 parameters the optimizer prices with:
  * config.locality at the machine's cache-line size.
  */
@@ -132,9 +172,17 @@ UnrollProblem unrollProblem(const LoopNest &nest,
                             const OptimizerConfig &config);
 
 /**
+ * @return config.analysis when it answers nest, else the analysis
+ * unrollProblem and buildNestTables build now; requires depth >= 2.
+ */
+std::shared_ptr<const UnrollAnalysis>
+unrollAnalysis(const LoopNest &nest, const MachineModel &machine,
+               const OptimizerConfig &config);
+
+/**
  * The model at config.forceUnroll, or else the search, on tables built
- * over problem.space (chooseUnrollAmounts is unrollProblem, then
- * buildNestTables, then this).
+ * over problem.space (chooseUnrollAmounts is unrollAnalysis, then
+ * this on its problem and tables).
  */
 UnrollDecision decideUnroll(const LoopNest &nest,
                             const MachineModel &machine,
@@ -149,7 +197,8 @@ UnrollDecision decideUnroll(const LoopNest &nest,
  *                give useful results; otherwise the identity decision
  *                is returned).
  * @param machine Target machine.
- * @param config  Search configuration.
+ * @param config  Search configuration; its analysis is read instead
+ *                of a new build when it answers the nest.
  * @return The decision; unroll is all-zero when nothing helps.
  */
 UnrollDecision chooseUnrollAmounts(const LoopNest &nest,

@@ -12,6 +12,9 @@ namespace ujam
 namespace
 {
 
+/** buildNestTables calls on this thread (nestTableBuilds). */
+thread_local std::uint64_t t_table_builds = 0;
+
 /** Lex-ordered leader offsets of a partition of the UGS. */
 std::vector<IntVector>
 leaderOffsets(const UniformlyGeneratedSet &ugs,
@@ -214,10 +217,17 @@ computeRegisterTable(const UniformlyGeneratedSet &ugs,
     return table;
 }
 
+std::uint64_t
+nestTableBuilds()
+{
+    return t_table_builds;
+}
+
 NestTables
 buildNestTables(const LoopNest &nest, const UnrollSpace &space,
                 const Subspace &localized)
 {
+    ++t_table_builds;
     NestTables tables;
     tables.space = space;
     tables.localized = localized;

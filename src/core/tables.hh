@@ -84,6 +84,13 @@ NestTables buildNestTables(const LoopNest &nest, const UnrollSpace &space,
                            const Subspace &localized);
 
 /**
+ * @return How many times this thread has called buildNestTables: a
+ * deterministic work counter that tests read; nothing else depends
+ * on it.
+ */
+std::uint64_t nestTableBuilds();
+
+/**
  * Register-pressure table for one UGS (Fig. 7 semantics).
  *
  * Chains are the connected components of RRS copies under the merge

@@ -211,7 +211,7 @@ guardedStage(Stage stage, std::size_t nest_index, const Program &context,
                 std::string mismatch = kept[t]->failure();
                 if (mismatch.empty() && !unchanged) {
                     runs.push_back(std::make_unique<OracleRun>(
-                        context, after, oracle_config, nest_index, t));
+                        context, after, oracle_config, *kept[t]));
                     mismatch = compareOracleRuns(*kept[t], *runs.back(),
                                                  bit_exact, oracle_config);
                 }
@@ -445,8 +445,18 @@ optimizeProgram(const Program &program, const MachineModel &machine,
                       // The summary keeps the last piece's decision;
                       // pieces of one nest rarely diverge and the full
                       // detail is in the transformed program itself.
-                      outcome.decision = chooseUnrollAmounts(
-                          piece, machine, opt_config);
+                      if (piece.depth() < 2) {
+                          outcome.analysis.reset();
+                          outcome.decision = chooseUnrollAmounts(
+                              piece, machine, opt_config);
+                      } else {
+                          outcome.analysis =
+                              unrollAnalysis(piece, machine, opt_config);
+                          outcome.decision = decideUnroll(
+                              piece, machine, opt_config,
+                              outcome.analysis->problem,
+                              outcome.analysis->tables);
+                      }
                       std::vector<LoopNest> expanded = unrollAndJamNest(
                           piece, outcome.decision.unroll);
                       for (LoopNest &bit : expanded)

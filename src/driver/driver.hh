@@ -155,6 +155,14 @@ struct NestOutcome
     bool interchanged = false;   //!< loop order changed
     std::vector<std::size_t> permutation; //!< applied loop order
     UnrollDecision decision;     //!< the unroll choice
+    /**
+     * The analysis the unroll choice was read from: the one passed in
+     * OptimizerConfig::analysis when it answered this nest, else the
+     * one built for it (the last piece's, like the decision). Null
+     * when the nest is shallower than 2, strict lint skipped it or
+     * its unroll stage rolled back.
+     */
+    std::shared_ptr<const UnrollAnalysis> analysis;
     std::size_t loadsRemoved = 0;   //!< by scalar replacement
     std::size_t prefetches = 0;     //!< inserted per body
     /** Faults contained while optimizing this nest, in stage order. */

@@ -30,17 +30,38 @@ OracleRun::OracleRun(const Program &context,
 {
     const std::size_t trials = config.trials > 0 ? config.trials : 1;
     seed_ = Rng::deriveStream(config.seed, stream * trials + trial);
+    interpret(config);
+}
+
+OracleRun::OracleRun(const Program &context,
+                     const std::vector<LoopNest> &nests,
+                     const OracleConfig &config, const OracleRun &reference)
+    : program_(withNests(context, nests)), trial_(reference.trial_),
+      seed_(reference.seed_), inputs_(reference.inputs_)
+{
+    interpret(config);
+}
+
+void
+OracleRun::interpret(const OracleConfig &config)
+{
     try {
         interpreter_.emplace(program_, config.params);
-        interpreter_->seedArrays(seed_);
+        if (inputs_) {
+            interpreter_->loadArrayImage(*inputs_);
+        } else {
+            interpreter_->seedArrays(seed_);
+            inputs_ = std::make_shared<const Interpreter::ArrayImage>(
+                interpreter_->arrayImage());
+        }
         interpreter_->run();
     } catch (const FatalError &err) {
         // E.g. transformed code touched past the guard halo (a
         // miscompile), or an array too large to interpret.
-        failure_ = concat("trial ", trial, ": execution failed: ",
+        failure_ = concat("trial ", trial_, ": execution failed: ",
                           err.what());
     } catch (const PanicError &err) {
-        failure_ = concat("trial ", trial, ": execution failed: ",
+        failure_ = concat("trial ", trial_, ": execution failed: ",
                           err.what());
     }
     if (!failure_.empty())
@@ -74,7 +95,7 @@ verifyEquivalence(const Program &context,
         OracleRun reference(context, before, config, stream, t);
         if (!reference.failure().empty())
             return {false, reference.failure()};
-        OracleRun candidate(context, after, config, stream, t);
+        OracleRun candidate(context, after, config, reference);
         std::string mismatch =
             compareOracleRuns(reference, candidate, bitExact, config);
         if (!mismatch.empty())

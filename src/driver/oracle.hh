@@ -22,6 +22,7 @@
 #define UJAM_DRIVER_ORACLE_HH
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -75,6 +76,16 @@ class OracleRun
               const OracleConfig &config, std::uint64_t stream,
               std::size_t trial);
 
+    /**
+     * The trial of reference, interpreting nests on a copy of the
+     * inputs reference was seeded with rather than hashing them again
+     * (context must declare the same arrays, config bind the same
+     * parameters). The copy shares reference's kept inputs, so a run
+     * made this way serves as the next reference in turn.
+     */
+    OracleRun(const Program &context, const std::vector<LoopNest> &nests,
+              const OracleConfig &config, const OracleRun &reference);
+
     OracleRun(const OracleRun &) = delete;
     OracleRun &operator=(const OracleRun &) = delete;
 
@@ -85,10 +96,16 @@ class OracleRun
     friend std::string compareOracleRuns(const OracleRun &, const OracleRun &,
                                          bool, const OracleConfig &);
 
+    /** Interpret program_ on inputs_, seeding and keeping them first
+     * when this run has none. */
+    void interpret(const OracleConfig &config);
+
     Program program_; //!< the interpreter refers to it
     std::optional<Interpreter> interpreter_;
     std::size_t trial_;
     std::uint64_t seed_;
+    /** The trial's seeded inputs, shared by the runs copied from it. */
+    std::shared_ptr<const Interpreter::ArrayImage> inputs_;
     std::string failure_;
 };
 
@@ -109,7 +126,8 @@ std::string compareOracleRuns(const OracleRun &reference,
  * Both lists are executed against the declarations and parameter
  * defaults of context (whose own nests are ignored): for each of
  * config.trials trials, an OracleRun of before, then (if it ran) one
- * of after, then compareOracleRuns, stopping at the first difference.
+ * of after on a copy of its inputs, then compareOracleRuns, stopping
+ * at the first difference.
  *
  * @param context  Supplies array declarations and parameter defaults.
  * @param before   The pre-stage nests.

@@ -56,6 +56,29 @@ Interpreter::seedArrays(std::uint64_t seed)
     }
 }
 
+Interpreter::ArrayImage
+Interpreter::arrayImage() const
+{
+    ArrayImage image;
+    for (const ArrayStorage &array : arrays_)
+        image.insert(image.end(), array.data.begin(), array.data.end());
+    return image;
+}
+
+void
+Interpreter::loadArrayImage(const ArrayImage &image)
+{
+    std::size_t total = 0;
+    for (const ArrayStorage &array : arrays_)
+        total += array.data.size();
+    UJAM_ASSERT(image.size() == total, "array image of another layout");
+    const double *next = image.data();
+    for (ArrayStorage &array : arrays_) {
+        std::copy_n(next, array.data.size(), array.data.begin());
+        next += array.data.size();
+    }
+}
+
 void
 Interpreter::setAccessCallback(AccessCallback callback)
 {

@@ -85,6 +85,19 @@ class Interpreter
     /** Fill every array with deterministic values in [1, 2). */
     void seedArrays(std::uint64_t seed);
 
+    /** Every array's contents, declaration order, halos included. */
+    using ArrayImage = std::vector<double>;
+
+    /** @return A copy of every array's current contents. */
+    ArrayImage arrayImage() const;
+
+    /**
+     * Overwrite every array from an image of an interpreter over the
+     * same declarations and parameters: a copy where seedArrays
+     * hashes every element.
+     */
+    void loadArrayImage(const ArrayImage &image);
+
     /** Install an access callback (pass nullptr to remove). */
     void setAccessCallback(AccessCallback callback);
 

@@ -1,5 +1,6 @@
 #include "ir/printer.hh"
 
+#include <algorithm>
 #include <charconv>
 #include <sstream>
 
@@ -17,19 +18,18 @@ renderExprTo(std::ostringstream &os, const Expr &expr,
 {
     switch (expr.kind()) {
       case Expr::Kind::Constant: {
-        double v = expr.constantValue();
-        if (v == static_cast<std::int64_t>(v)) {
-            os << static_cast<std::int64_t>(v) << ".0";
-        } else {
-            // The shortest fixed-notation text that reads back as v
-            // (the lexer takes no exponents); a non-integral double
-            // needs at most a few hundred digits.
-            char text[512];
-            auto [end, ec] = std::to_chars(text, text + sizeof text, v,
-                                           std::chars_format::fixed);
-            UJAM_ASSERT(ec == std::errc(), "constant too long to print");
-            os.write(text, end - text);
-        }
+        // The shortest fixed-notation text that reads back as the
+        // constant, sign of zero included (the lexer takes no
+        // exponents, and a double needs at most a few hundred
+        // digits); integral values get a ".0" so they lex as floats.
+        char text[512];
+        auto [end, ec] =
+            std::to_chars(text, text + sizeof text, expr.constantValue(),
+                          std::chars_format::fixed);
+        UJAM_ASSERT(ec == std::errc(), "constant too long to print");
+        os.write(text, end - text);
+        if (std::find(text, end, '.') == end)
+            os << ".0";
         return;
       }
       case Expr::Kind::Scalar:

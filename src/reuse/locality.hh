@@ -29,6 +29,8 @@ struct LocalityParams
 {
     std::int64_t cacheLineElems = 4; //!< cache line size in elements
     double localizedTrip = 100.0;    //!< assumed trip of localized loops
+
+    bool operator==(const LocalityParams &other) const = default;
 };
 
 /** Self-reuse classification of a UGS within a localized space. */

@@ -157,11 +157,16 @@ runJob(const SweepJob &job)
             optimized.outcomes.front().decision.unroll.toString();
 
     // The tuner re-runs the pipeline per candidate: keep its copy
-    // lint- and oracle-free (both were already accounted above).
+    // lint- and oracle-free (both were already accounted above). Its
+    // model run answers from this run's analysis, which is built for
+    // the same normalized nest under the same optimizer inputs.
     TuneConfig tune;
     tune.pipeline = config;
     tune.pipeline.lint = LintMode::Off;
     tune.pipeline.safety.oracle = false;
+    if (!optimized.outcomes.empty())
+        tune.pipeline.optimizer.analysis =
+            optimized.outcomes.front().analysis;
     tune.measure = MeasureMode::Model;
     tune.neighborhood = 1;
     TuneResult tuned = tuneProgram(program, *machine, tune);

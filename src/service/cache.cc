@@ -135,6 +135,10 @@ canonicalRequestText(const std::string &op, const Program &program,
                      const TuneConfig &tune)
 {
     std::ostringstream os;
+    // v7: the program text keeps the sign of a zero constant (v6
+    // printed -0.0 as 0.0, so the two programs shared a key and one
+    // was answered with the other's result) and prints integral
+    // constants past 2^63 in full.
     // v6: codegen comments print each statement with the IR printer
     // (every digit of a constant, integral ones as N.0), and the lint
     // halo line is gone with its knob. v5 kept every digit of a
@@ -144,8 +148,8 @@ canonicalRequestText(const std::string &op, const Program &program,
     // added the autotuner's search/budget fields and the optimizer's
     // forced unroll vector, v3 the symbolic-analysis fields. The
     // header is part of the hashed bytes, so a version bump
-    // invalidates every persisted v1-v5 entry wholesale.
-    os << "ujam-serve-cache-v6\n";
+    // invalidates every persisted v1-v6 entry wholesale.
+    os << "ujam-serve-cache-v7\n";
     os << "op = " << op << "\n";
     renderMachine(os, machine);
     renderConfig(os, config);

@@ -129,7 +129,6 @@ profileReuseDistances(const Program &program, std::int64_t line_elems,
 {
     ReuseDistanceProfiler profiler(line_elems);
     Interpreter interp(program, overrides);
-    interp.seedArrays(1);
     interp.setAccessCallback(
         [&](std::int64_t addr, MemAccessKind kind) {
             if (kind != MemAccessKind::Prefetch)

@@ -96,7 +96,8 @@ class ReuseDistanceProfiler
 /**
  * Profile every array access of a program run.
  *
- * @param program    The program (seeded deterministically).
+ * @param program    The program; its arrays are not seeded, since no
+ *                   access address depends on an array value.
  * @param line_elems Line size in elements.
  * @param overrides  Parameter overrides.
  * @return The filled profiler.

@@ -8,11 +8,12 @@ namespace ujam
 
 SimResult
 simulateProgram(const Program &program, const MachineModel &machine,
-                const ParamBindings &overrides, std::uint64_t seed)
+                const ParamBindings &overrides, std::uint64_t)
 {
     SimResult result;
+    // No access address depends on an array value, so the arrays keep
+    // their zeros: hashing them would not change one counted access.
     Interpreter interp(program, overrides);
-    interp.seedArrays(seed);
 
     CacheSim cache(machine.cacheBytes, machine.lineBytes,
                    machine.associativity, machine.elementBytes);

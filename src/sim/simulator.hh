@@ -40,10 +40,13 @@ struct SimResult
 /**
  * Simulate a program.
  *
- * @param program   The program (arrays are seeded deterministically).
+ * @param program   The program. Its arrays are not seeded: no access
+ *                  address depends on an array value, so the
+ *                  estimate is the same for any contents.
  * @param machine   Target machine (cache geometry, rates, latencies).
  * @param overrides Parameter overrides for the run.
- * @param seed      Array seeding value.
+ * @param seed      No effect; kept for callers of the four-argument
+ *                  form.
  * @return Cycle estimate and dynamic statistics.
  */
 SimResult simulateProgram(const Program &program,

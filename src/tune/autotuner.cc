@@ -210,6 +210,10 @@ tuneNest(const Program &program, const LoopNest &nest,
     // unrolls each by the last piece's vector.
     bool reuse_model_run = decision.unroll.size() == nest.depth() &&
                            model_run.outcomes.front().pieces == 1;
+    // Every forced candidate reads its cell from the analysis the model
+    // run used instead of building its own.
+    PipelineConfig forced = config.pipeline;
+    forced.optimizer.analysis = model_run.outcomes.front().analysis;
     // A contained unroll-stage fault (e.g. coupled subscripts the
     // tables cannot rank) leaves the decision's vectors empty;
     // normalize to all-zero at nest depth so every IntVector
@@ -259,7 +263,6 @@ tuneNest(const Program &program, const LoopNest &nest,
             run = std::move(model_run); // the "model" seed comes first
             reuse_model_run = false;
         } else {
-            PipelineConfig forced = config.pipeline;
             forced.optimizer.forceUnroll = seed.u;
             try {
                 run = optimizeProgram(solo, machine, forced);

@@ -11,7 +11,9 @@
  * full optimization pipeline via OptimizerConfig::forceUnroll -- so
  * every candidate gets normalization, scalar replacement, fringe
  * loops and the safety net exactly as a model-chosen vector would --
- * and ranks candidates by *measured* runtime.
+ * and ranks candidates by *measured* runtime. The model run analyzes
+ * the nest once (or takes the caller's OptimizerConfig::analysis);
+ * every forced candidate reads its cell from that analysis.
  *
  * Two measurement backends share one code path:
  *
@@ -70,7 +72,8 @@ const char *measureModeName(MeasureMode mode);
 struct TuneConfig
 {
     /** Pipeline the candidates run through (optimizer.forceUnroll is
-     * overwritten per candidate; everything else is honored). */
+     * overwritten per candidate, and optimizer.analysis by the one the
+     * model run used; everything else is honored). */
     PipelineConfig pipeline;
     MeasureMode measure = MeasureMode::Wall;
     /**

@@ -456,7 +456,7 @@ TEST(ServiceCodegen, EmissionOptionsAreSemanticInTheKey)
     // what invalidates persisted entries across format changes.
     std::string text = canonicalRequestText("codegen", program,
                                             machine, config, base);
-    EXPECT_EQ(text.rfind("ujam-serve-cache-v6\n", 0), 0u);
+    EXPECT_EQ(text.rfind("ujam-serve-cache-v7\n", 0), 0u);
     EXPECT_NE(text.find("codegen.seed = "), std::string::npos);
     // The autotuner's knobs are part of the text too.
     EXPECT_NE(text.find("tune.budgetMs = "), std::string::npos);

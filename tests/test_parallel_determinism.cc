@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdlib>
 #include <functional>
 #include <numeric>
@@ -1050,6 +1051,167 @@ end do
             }
         }
     }
+}
+
+
+// --- one analysis per nest --------------------------------------------
+
+std::uint64_t
+bits(double value)
+{
+    return std::bit_cast<std::uint64_t>(value);
+}
+
+void
+expectSameDecision(const UnrollDecision &got, const UnrollDecision &want,
+                   const std::string &what)
+{
+    EXPECT_EQ(got.unroll, want.unroll) << what;
+    EXPECT_EQ(bits(got.predictedBalance), bits(want.predictedBalance))
+        << what;
+    EXPECT_EQ(bits(got.machineBalance), bits(want.machineBalance)) << what;
+    EXPECT_EQ(bits(got.originalBalance), bits(want.originalBalance))
+        << what;
+    EXPECT_EQ(got.registers, want.registers) << what;
+    EXPECT_EQ(bits(got.memOps), bits(want.memOps)) << what;
+    EXPECT_EQ(bits(got.flops), bits(want.flops)) << what;
+    EXPECT_EQ(bits(got.misses), bits(want.misses)) << what;
+    EXPECT_EQ(got.safetyBounds, want.safetyBounds) << what;
+    EXPECT_EQ(got.consideredLoops, want.consideredLoops) << what;
+    EXPECT_EQ(got.searchedPoints, want.searchedPoints) << what;
+}
+
+/** @return The pick, the zero vector and the pick's radius-1 ball. */
+std::vector<IntVector>
+tunerVectors(const UnrollDecision &pick)
+{
+    std::vector<IntVector> out{pick.unroll, IntVector(pick.unroll.size())};
+    const std::vector<std::size_t> &dims = pick.consideredLoops;
+    std::vector<std::int64_t> step(dims.size(), -1);
+    for (bool done = dims.empty(); !done;) {
+        IntVector u = pick.unroll;
+        for (std::size_t i = 0; i < dims.size(); ++i)
+            u[dims[i]] = std::max<std::int64_t>(0, u[dims[i]] + step[i]);
+        out.push_back(u);
+        done = true;
+        for (std::size_t i = 0; i < step.size(); ++i) {
+            if (++step[i] <= 1) {
+                done = false;
+                break;
+            }
+            step[i] = -1;
+        }
+    }
+    return out;
+}
+
+TEST(UnrollAnalysis, ReusedAnalysisAnswersLikeAFreshBuild)
+{
+    // Every suite loop and default-manifest scenario (grid x seeds) on
+    // both manifest machines: the search and every vector the tuner
+    // forces (the pick, zero, the radius-1 ball) read from one
+    // analysis must give a fresh chooseUnrollAmounts' decision, field
+    // by field and bit for bit, and build nothing.
+    const std::vector<MachineModel> machines = {
+        MachineModel::decAlpha21064(), MachineModel::hpPa7100()};
+    std::size_t answered = 0;
+    for (const Program &program : factoredSolverPrograms()) {
+        OptimizerConfig config;
+        config.params = program.paramDefaults();
+        for (const MachineModel &machine : machines) {
+            for (const LoopNest &nest : program.nests()) {
+                if (nest.depth() < 2)
+                    continue;
+                OptimizerConfig reused = config;
+                reused.analysis = unrollAnalysis(nest, machine, config);
+                const std::string label = program.sourceName() + " on " +
+                                          machine.name;
+
+                std::uint64_t builds = nestTableBuilds();
+                UnrollDecision pick =
+                    chooseUnrollAmounts(nest, machine, reused);
+                EXPECT_EQ(nestTableBuilds(), builds) << label;
+                expectSameDecision(
+                    pick, chooseUnrollAmounts(nest, machine, config),
+                    label + " search");
+
+                for (const IntVector &u : tunerVectors(pick)) {
+                    OptimizerConfig fresh = config;
+                    fresh.forceUnroll = u;
+                    reused.forceUnroll = u;
+                    builds = nestTableBuilds();
+                    UnrollDecision got =
+                        chooseUnrollAmounts(nest, machine, reused);
+                    EXPECT_EQ(nestTableBuilds(), builds) << label;
+                    expectSameDecision(
+                        got, chooseUnrollAmounts(nest, machine, fresh),
+                        label + " at " + u.toString());
+                    ++answered;
+                }
+            }
+        }
+    }
+    EXPECT_GE(answered, 800u);
+}
+
+TEST(UnrollAnalysis, RefusesAnalysisBuiltForOtherInputs)
+{
+    // An analysis answers only the nest and inputs it was built from:
+    // another nest, or the same nest under another maxUnroll,
+    // maxLoops, depRangePrune, params or line size, must get the
+    // fresh decision from a build of its own.
+    const MachineModel alpha = MachineModel::decAlpha21064();
+    std::vector<Program> programs = factoredSolverPrograms();
+    std::size_t refused = 0;
+    for (std::size_t p = 0; p < programs.size(); ++p) {
+        const Program &program = programs[p];
+        const LoopNest &nest = program.nests()[0];
+        const LoopNest &other = programs[(p + 1) % programs.size()].nests()[0];
+        if (nest.depth() < 2 || other.depth() < 2 || other == nest)
+            continue;
+        OptimizerConfig config;
+        config.params = program.paramDefaults();
+        std::shared_ptr<const UnrollAnalysis> analysis =
+            unrollAnalysis(nest, alpha, config);
+
+        struct Variant
+        {
+            const char *what;
+            const LoopNest *nest;
+            MachineModel machine;
+            OptimizerConfig config;
+        };
+        std::vector<Variant> variants(6, {"", &nest, alpha, config});
+        variants[0].what = "another nest";
+        variants[0].nest = &other;
+        variants[1].what = "maxUnroll";
+        variants[1].config.maxUnroll += 1;
+        variants[2].what = "maxLoops";
+        variants[2].config.maxLoops = 1;
+        variants[3].what = "depRangePrune";
+        variants[3].config.depRangePrune = !config.depRangePrune;
+        variants[4].what = "params";
+        variants[4].config.params["n"] += 1;
+        variants[5].what = "line size";
+        variants[5].machine.lineBytes *= 2;
+        for (Variant &variant : variants) {
+            const std::string label =
+                program.sourceName() + ": " + variant.what;
+            UnrollDecision fresh = chooseUnrollAmounts(
+                *variant.nest, variant.machine, variant.config);
+            variant.config.analysis = analysis;
+            EXPECT_FALSE(analysis->answers(*variant.nest, variant.machine,
+                                           variant.config))
+                << label;
+            std::uint64_t builds = nestTableBuilds();
+            UnrollDecision got = chooseUnrollAmounts(
+                *variant.nest, variant.machine, variant.config);
+            EXPECT_EQ(nestTableBuilds(), builds + 1) << label;
+            expectSameDecision(got, fresh, label);
+            ++refused;
+        }
+    }
+    EXPECT_GE(refused, 400u);
 }
 
 } // namespace

@@ -4,6 +4,8 @@
  * round trips.
  */
 
+#include <bit>
+
 #include <gtest/gtest.h>
 
 #include "ir/interp.hh"
@@ -367,6 +369,33 @@ TEST(Parser, NonIntegralConstantsRoundTripEveryDigit)
         EXPECT_EQ(again.rhs()->rhs()->constantValue(),
                   stmt.rhs()->rhs()->constantValue());
         EXPECT_EQ(renderProgram(reparsed), printed);
+    }
+}
+
+TEST(Parser, ConstantsRoundTripBitForBit)
+{
+    // Every constant prints in fixed notation and reads back as the
+    // same double. The integral branch printed -0.0 as 0.0, and past
+    // 2^63 its int64 cast was undefined and the text lacked the ".0"
+    // a float literal needs.
+    for (double value : {-0.0, 0.5, 3.0, -3.0, 1152921504606846976.0,
+                         1e20}) {
+        SCOPED_TRACE(value);
+        Program program = parseProgram(
+            "real a(4)\nreal b(4)\ndo i = 1, 4\n  a(i) = b(i) * 2.0\n"
+            "end do\n");
+        Stmt &stmt = program.nests()[0].body()[0];
+        stmt.setRhs(Expr::binary(BinOp::Mul, stmt.rhs()->lhs(),
+                                 Expr::constant(value)));
+
+        Program reparsed = parseProgram(renderProgram(program));
+        ASSERT_EQ(reparsed.nests().size(), 1u);
+        EXPECT_TRUE(reparsed.nests()[0] == program.nests()[0])
+            << renderProgram(reparsed);
+        double again =
+            reparsed.nests()[0].body()[0].rhs()->rhs()->constantValue();
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(again),
+                  std::bit_cast<std::uint64_t>(value));
     }
 }
 

@@ -26,6 +26,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/tables.hh"
 #include "ir/validate.hh"
 #include "parser/parser.hh"
 #include "scenarios/corpus_hook.hh"
@@ -322,6 +323,25 @@ TEST(SweepDeterminism, DocumentIsThreadCountInvariant)
     SweepResult parallel = runSweep(manifest, 4);
     EXPECT_EQ(sweepResultJson(serial, 1), sweepResultJson(parallel, 1));
     EXPECT_EQ(sweepFeatureRows(serial), sweepFeatureRows(parallel));
+}
+
+TEST(SweepWork, OneJobBuildsTablesOncePerDependenceView)
+{
+    // UJ014 builds on the nest as written without parameter bindings,
+    // the pipeline on the normalized nest under the program's
+    // defaults; the tuner's model run and its candidates read the
+    // pipeline's analysis.
+    SweepManifest manifest = defaultSweepManifest();
+    manifest.families = {
+        {"matmul", {{"n", {12}}, {"m", {12}}, {"order", {0}}}}};
+    manifest.seeds = {0};
+    manifest.machines = {"alpha"};
+    std::uint64_t builds = nestTableBuilds();
+    SweepResult result = runSweep(manifest, 1);
+    EXPECT_EQ(nestTableBuilds() - builds, 2u);
+    ASSERT_EQ(result.rows.size(), 1u);
+    EXPECT_FALSE(result.rows[0].tunerPick.empty());
+    EXPECT_EQ(result.rows[0].rollbacks, 0u);
 }
 
 TEST(SweepOracle, SmokeGridHasZeroRollbacks)

@@ -454,6 +454,25 @@ TEST(ServiceBatch, HitIsByteIdenticalToMiss)
     EXPECT_EQ(server.metrics().cacheMemoryHits.get(), 1u);
 }
 
+TEST(ServiceBatch, SignOfZeroConstantReachesTheKey)
+{
+    // 1.0 / (b(i) * -0.0) computes -inf where the 0.0 program computes
+    // +inf: the second frame must miss, not be answered from the
+    // first's cache entry.
+    const std::string body = "real a(8)\nreal b(8)\ndo i = 1, 8\n"
+                             "  a(i) = 1.0 / (b(i) * ";
+    ServerConfig config;
+    config.threads = 1;
+    UjamServer server(std::move(config));
+    batch(server,
+          requestLine("optimize", "zero", body + "0.0)\nend do\n") +
+              "\n" +
+              requestLine("optimize", "zero", body + "-0.0)\nend do\n") +
+              "\n");
+    EXPECT_EQ(server.metrics().cacheMemoryHits.get(), 0u);
+    EXPECT_EQ(server.metrics().cacheMisses.get(), 2u);
+}
+
 TEST(ServiceBatch, LintHitIsByteIdenticalToMiss)
 {
     // The lint op rides the same content-addressed cache as

@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include "codegen/compile.hh"
+#include "core/tables.hh"
 #include "scenarios/corpus_hook.hh"
 #include "service/protocol.hh"
 #include "service/server.hh"
@@ -123,6 +124,24 @@ TEST(TuneModel, SuiteJsonMatchesGolden)
     std::ostringstream golden;
     golden << in.rdbuf();
     EXPECT_EQ(json, golden.str());
+}
+
+TEST(TuneModel, CandidatesReadTheModelRunsTables)
+{
+    // The model run builds the nest's tables once; every forced
+    // candidate reads its cell from them, however many there are.
+    Program program = loadSuiteProgram(suiteLoop("mmjik"));
+    MachineModel machine = MachineModel::decAlpha21064();
+    for (std::int64_t radius : {1, 2}) {
+        SCOPED_TRACE(radius);
+        TuneConfig config = modelConfig();
+        config.neighborhood = radius;
+        std::uint64_t builds = nestTableBuilds();
+        TuneResult tuned = tuneProgram(program, machine, config);
+        EXPECT_EQ(nestTableBuilds() - builds, 1u);
+        ASSERT_EQ(tuned.nests.size(), 1u);
+        EXPECT_GE(tuned.nests[0].measuredCount, radius == 1 ? 3u : 8u);
+    }
 }
 
 // --- model-vs-measured sanity over suite loops ----------------------
